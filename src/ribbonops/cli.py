@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 
 from .fock import FockVec
 from .operators import _hperp_moves, apply_expr, parse_expr
@@ -267,8 +268,12 @@ def _verify_chunk(task):
 
 
 def _run_checker(name, n, max_size, jobs):
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return run_identity(name, n, max_size)
+    from concurrent.futures import ProcessPoolExecutor
+
+    t0 = time.perf_counter()
     shapes = list(partitions_up_to(max_size))
     chunks = [shapes[i::jobs] for i in range(jobs) if shapes[i::jobs]]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
@@ -277,8 +282,9 @@ def _run_checker(name, n, max_size, jobs):
     for p in parts[1:]:
         merged.cases += p.cases
         merged.failures.extend(p.failures)
-        merged.elapsed = max(merged.elapsed, p.elapsed)
+    merged.elapsed = time.perf_counter() - t0
     merged.params["jobs"] = jobs
+    merged.params["worker_elapsed"] = [round(p.elapsed, 3) for p in parts]
     return merged
 
 
@@ -399,6 +405,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.n < 1:
+        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
+        return 2
     if getattr(args, "command", None) == "verify" and args.identity in IDENTITIES + ("all",):
         if args.max_size is None:
             args.max_size = 8

@@ -17,7 +17,7 @@ import re
 from functools import cache
 
 from .fock import FockVec, linear_map
-from .partitions import add_ribbon, remove_ribbon, ribbon_slots, is_partition
+from .partitions import add_ribbon, parse_partition, remove_ribbon, ribbon_slots
 from .qpoly import QPoly, qbracket
 from .symfunc import (
     elementary_in_h,
@@ -198,7 +198,7 @@ def apply_diag_sum_from(i, j, n, v):
     return out
 
 
-_ATOM = re.compile(r"([A-Za-z]+)\[([-0-9,\s]*)\]")
+_ATOM = re.compile(r"([A-Za-z]+)\[([-0-9,/\s]*)\]")
 
 
 def parse_expr(text):
@@ -219,10 +219,12 @@ def parse_expr(text):
             except ValueError:
                 raise ValueError(f"{name}[] wants one integer, got {arg!r}") from None
         elif name == "s":
-            parts = tuple(int(t) for t in arg.split(",")) if arg else ()
-            if not is_partition(parts):
-                raise ValueError(f"s[] wants a partition, got {arg!r}")
-            atoms.append(("s", parts))
+            atoms.append(("s", parse_partition(arg)))
+        elif name == "sskew":
+            outer, slash, inner = arg.partition("/")
+            if not slash:
+                raise ValueError(f"sskew[] wants outer/inner, got {arg!r}")
+            atoms.append(("sskew", (parse_partition(outer), parse_partition(inner))))
         else:
             raise ValueError(f"unknown operator {name!r}")
         pos = m.end()
@@ -251,6 +253,8 @@ def apply_atom(atom, n, v):
         return apply_B(arg, n, v)
     if name == "s":
         return apply_schur(arg, n, v)
+    if name == "sskew":
+        return apply_skew_schur(*arg, n, v)
     raise ValueError(f"unknown operator {name!r}")
 
 

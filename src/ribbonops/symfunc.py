@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
 
 from .partitions import partitions_of
 from .qpoly import QPoly, qbracket
@@ -41,30 +40,44 @@ def _hadd(f, g, scale=1):
     return out
 
 
-def _parity(perm):
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
-    return -1 if inv % 2 else 1
-
-
 @cache
 def skew_schur_in_h(outer, inner=()):
-    """Jacobi-Trudi: s_{outer/inner} = det(h_{outer_i - inner_j - i + j})."""
+    """Jacobi-Trudi: s_{outer/inner} = det(h_{outer_i - inner_j - i + j}).
+
+    Laplace expansion along the first remaining row, memoized on the bitmask
+    of columns still free: the minor on free columns S uses the last |S|
+    rows, so there are O(l 2^l) minors instead of l! permutations.
+    """
     l = len(outer)
     if len(inner) > l or any((inner[i] if i < len(inner) else 0) > outer[i] for i in range(l)):
         return {}
     pad = tuple(inner) + (0,) * (l - len(inner))
-    out = {}
-    for sigma in permutations(range(l)):
-        subs = [outer[i] - pad[sigma[i]] - i + sigma[i] for i in range(l)]
-        if any(s < 0 for s in subs):
-            continue
-        key = tuple(sorted((s for s in subs if s), reverse=True))
-        c = out.get(key, 0) + _parity(sigma)
-        if c:
-            out[key] = c
-        else:
-            del out[key]
-    return out
+    minors = {0: {(): 1}}
+
+    def minor(free):
+        if free in minors:
+            return minors[free]
+        r = l - free.bit_count()
+        out = {}
+        sign = 1
+        for j in range(l):
+            if not free >> j & 1:
+                continue
+            s = outer[r] - pad[j] - r + j
+            if s >= 0:
+                for key, c in minor(free & ~(1 << j)).items():
+                    if s:
+                        key = tuple(sorted(key + (s,), reverse=True))
+                    c = out.get(key, 0) + sign * c
+                    if c:
+                        out[key] = c
+                    else:
+                        del out[key]
+            sign = -sign
+        minors[free] = out
+        return out
+
+    return minor((1 << l) - 1)
 
 
 @cache

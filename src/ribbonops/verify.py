@@ -78,7 +78,7 @@ def _witness(la, **kw):
 
 def check_relations(n, max_size, shapes=None):
     """Local relations of the u_i and the off-diagonal ud commutation."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = VerificationReport("relations", n, {"max_size": max_size})
     for la in (partitions_up_to(max_size) if shapes is None else shapes):
         v = FockVec.basis(la)
@@ -109,13 +109,13 @@ def check_relations(n, max_size, shapes=None):
                 elif i - j < n:
                     rep.tally(uij, uji * QPoly.q_power(2),
                               _witness(la, rule="u_i u_j = q^2 u_j u_i", i=i, j=j))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def check_h_commute(n, kmax, max_size, shapes=None):
     """Horizontal strip operators commute pairwise."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = VerificationReport("hcommute", n, {"kmax": kmax, "max_size": max_size})
     for la in (partitions_up_to(max_size) if shapes is None else shapes):
         v = FockVec.basis(la)
@@ -124,13 +124,13 @@ def check_h_commute(n, kmax, max_size, shapes=None):
                 lhs = apply_h(a, n, apply_h(b, n, v))
                 rhs = apply_h(b, n, apply_h(a, n, v))
                 rep.tally(lhs, rhs, _witness(la, a=a, b=b))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def check_cauchy(n, amax, bmax, max_size, shapes=None):
     """h_b^perp h_a = sum_i h_i(1, q^2, ..., q^(2n-2)) h_{a-i} h_{b-i}^perp."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = VerificationReport(
         "cauchy", n, {"amax": amax, "bmax": bmax, "max_size": max_size})
     for la in (partitions_up_to(max_size) if shapes is None else shapes):
@@ -143,13 +143,13 @@ def check_cauchy(n, amax, bmax, max_size, shapes=None):
                     term = apply_h(a - i, n, apply_h_perp(b - i, n, v))
                     rhs = rhs + term * h_eval_at_q2(i, n)
                 rep.tally(lhs, rhs, _witness(la, a=a, b=b))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def check_heisenberg(n, kmax, max_size, shapes=None):
     """[B_k, B_l] = delta_{k,-l} k [n]_{q^(2|k|)} as operators."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = VerificationReport("heisenberg", n, {"kmax": kmax, "max_size": max_size})
     ks = [k for k in range(-kmax, kmax + 1) if k != 0]
     for la in (partitions_up_to(max_size) if shapes is None else shapes):
@@ -162,14 +162,14 @@ def check_heisenberg(n, kmax, max_size, shapes=None):
                 else:
                     rhs = FockVec.zero()
                 rep.tally(lhs, rhs, _witness(la, k=k, l=l))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def check_haction(n, jmax, max_size, shapes=None):
     """Diagonal operators: closed form of (u_i d_i)^j - (d_i u_i)^j and the
     q-integer values of their tail sums along the diagonal line."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = VerificationReport("haction", n, {"jmax": jmax, "max_size": max_size})
     for la in (partitions_up_to(max_size) if shapes is None else shapes):
         v = FockVec.basis(la)
@@ -191,7 +191,7 @@ def check_haction(n, jmax, max_size, shapes=None):
                           v * (-qbracket(count, 2 * j)),
                           _witness(la, rule=f"tail at {s.kind} slot",
                                    i=s.diagonal, j=j, spin=s.spin))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -282,7 +282,7 @@ def _word_matrices(n, k, max_size, residues):
 
 
 def _normalize(mat):
-    base = min(t for _, t in mat.values())
+    base = min((t for _, t in mat.values()), default=0)
     return tuple(sorted((la, mu, t - base) for la, (mu, t) in mat.items()))
 
 
@@ -376,7 +376,11 @@ def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
     rerun reports whether that cutoff was already stable.  Two random
     rational specializations of q guard the symbolic elimination.
     """
-    t0 = time.time()
+    if max_size is not None and max_size < n:
+        raise ValueError(
+            f"max_size must be >= n={n}, so that the smaller cutoff max_size - n "
+            f"is not negative; got {max_size}")
+    t0 = time.perf_counter()
     if residues is None:
         residues = tuple(range(n))
     else:
@@ -409,4 +413,4 @@ def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
         n=n, k=k, max_size=max_size, residues=residues,
         basis_size=basis_size, words=words, rank=rank,
         rank_smaller=rank_smaller, stable=stable,
-        specialization_ranks=spec, elapsed=time.time() - t0)
+        specialization_ranks=spec, elapsed=time.perf_counter() - t0)

@@ -6,7 +6,7 @@ agreement test actually compares two different computations.
 """
 
 from collections import deque
-from itertools import count
+from itertools import permutations
 
 from ribbonops.partitions import cells, contains, partitions_of
 
@@ -113,3 +113,32 @@ def lr_coefficient(nu, outer, inner):
 def schur_monomial_counts(outer, inner, size):
     """{mu: #SSYT of content mu} over partitions mu of the skew size."""
     return {mu: ssyt_count(outer, inner, mu) for mu in partitions_of(size)}
+
+
+def _parity(perm):
+    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
+    return -1 if inv % 2 else 1
+
+
+def jacobi_trudi_by_permutations(outer, inner=()):
+    """Jacobi-Trudi: s_{outer/inner} = det(h_{outer_i - inner_j - i + j}).
+
+    The determinant as a signed sum over all l! permutations, as
+    {sorted tuple of h parts: int coefficient}.
+    """
+    l = len(outer)
+    if len(inner) > l or any((inner[i] if i < len(inner) else 0) > outer[i] for i in range(l)):
+        return {}
+    pad = tuple(inner) + (0,) * (l - len(inner))
+    out = {}
+    for sigma in permutations(range(l)):
+        subs = [outer[i] - pad[sigma[i]] - i + sigma[i] for i in range(l)]
+        if any(s < 0 for s in subs):
+            continue
+        key = tuple(sorted((s for s in subs if s), reverse=True))
+        c = out.get(key, 0) + _parity(sigma)
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out

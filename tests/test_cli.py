@@ -162,6 +162,13 @@ def test_apply_expression_json(capsys):
     assert [[4], [[0, 1]]] in payload["terms"]
 
 
+def test_apply_skew_schur_atom(capsys):
+    # s_{21/1} = h_1^2: two dominoes added to the empty shape
+    code, out, _ = run(capsys, "apply", "sskew[2,1/1]", "--n", "2")
+    assert code == 0
+    assert out.strip() == "q^2·(1,1,1,1) + q·(2,1,1) + (q^2 + 1)·(2,2) + q·(3,1) + 1·(4)"
+
+
 def test_apply_bad_expression(capsys):
     code, _, err = run(capsys, "apply", "w[2]", "--n", "2")
     assert code == 2 and "error:" in err
@@ -216,6 +223,34 @@ def test_verify_parallel_matches_serial(capsys):
     a, b = json.loads(out1), json.loads(out2)
     assert a["cases"] == b["cases"]
     assert b["params"]["jobs"] == 2
+
+
+def test_verify_parallel_reports_wall_time(capsys):
+    code, out, _ = run(capsys, "verify", "--identity", "hcommute", "--n", "2",
+                       "--max-size", "5", "--jobs", "2")
+    assert code == 0
+    payload = json.loads(out)
+    workers = payload["params"]["worker_elapsed"]
+    assert len(workers) == 2
+    assert payload["elapsed"] >= max(workers)
+
+
+@pytest.mark.parametrize("argv", [
+    ("qlr", "--n", "0", "--outer", "2"),
+    ("qlr", "--n", "-1", "--outer", "2"),
+    ("verify", "--identity", "all", "--n", "0", "--max-size", "4"),
+])
+def test_nonpositive_n_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    n = argv[argv.index("--n") + 1]
+    assert err.strip() == f"error: --n must be >= 1, got {n}"
+
+
+def test_dim_rejects_cutoff_below_n(capsys):
+    code, out, err = run(capsys, "dim", "--n", "2", "--k", "1", "--max-size", "1")
+    assert code == 2 and out == ""
+    assert err.strip().startswith("error: max_size must be >= n=2")
 
 
 def test_verify_dimension(capsys):

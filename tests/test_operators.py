@@ -177,9 +177,22 @@ def test_parse_expr_grammar():
     assert parse_expr("u[2] d[-1]") == (("u", 2), ("d", -1))
     assert parse_expr("s[2,1]") == (("s", (2, 1)),)
     assert parse_expr("hperp[3]B[-2]") == (("hperp", 3), ("B", -2))
-    for bad in ("", "x[1]", "u[a]", "s[1,2]", "u[1] junk", "junk u[1]"):
+    assert parse_expr("sskew[2,1/1]") == (("sskew", ((2, 1), (1,))),)
+    assert parse_expr("sskew[3/]") == (("sskew", ((3,), ())),)
+    for bad in ("", "x[1]", "u[a]", "s[1,2]", "u[1] junk", "junk u[1]",
+                "s[2/1]", "sskew[2,1]", "sskew[1,2/1]", "sskew[2/1/1]"):
         with pytest.raises(ValueError):
             parse_expr(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sskew_with_empty_inner_is_schur(n):
+    for nu in ((2, 1), (3,), (1, 1, 1), (2, 2)):
+        text = ",".join(map(str, nu))
+        for la in ((), (1,), (2, 1)):
+            skew = apply_expr(parse_expr(f"sskew[{text}/]"), n, basis(la))
+            assert skew == apply_expr(parse_expr(f"s[{text}]"), n, basis(la)), (nu, la)
+            assert skew == apply_skew_schur(nu, (), n, basis(la))
 
 
 def test_apply_expr_matches_direct_composition():

@@ -1,9 +1,11 @@
 from itertools import combinations_with_replacement
 
-from ribbonops.partitions import partitions_of
+from ribbonops.partitions import partitions_of, partitions_up_to, subpartitions
 from ribbonops.qpoly import QPoly, qbracket
 from ribbonops.symfunc import (
     SymFunc,
+    _hadd,
+    _hmul,
     elementary_in_h,
     h_eval_at_q2,
     kostka,
@@ -14,7 +16,7 @@ from ribbonops.symfunc import (
     to_monomial_basis,
     to_schur_basis,
 )
-from oracles import kostka_count
+from oracles import jacobi_trudi_by_permutations, kostka_count
 
 
 def test_schur_in_h_small_cases():
@@ -34,6 +36,29 @@ def test_skew_schur_strip_cases():
     assert skew_schur_in_h((4,), (1,)) == {(3,): 1}
     # s_{22/1} = h_2 h_1 - h_3
     assert skew_schur_in_h((2, 2), (1,)) == {(2, 1): 1, (3,): -1}
+
+
+def test_skew_schur_in_h_matches_permutation_oracle():
+    pairs = 0
+    for outer in partitions_up_to(8):
+        for inner in subpartitions(outer):
+            assert skew_schur_in_h(outer, inner) == jacobi_trudi_by_permutations(outer, inner), (
+                outer, inner)
+            pairs += 1
+    assert pairs == 862
+    # inner not contained in outer: s_{outer/inner} = 0
+    assert jacobi_trudi_by_permutations((3, 1), (2, 2)) == {}
+    assert skew_schur_in_h((3, 1), (2, 2)) == {}
+
+
+def test_elementary_complete_duality():
+    # sum_{i=0}^{k} (-1)^i e_i h_{k-i} = 0, far past where the oracle is affordable
+    for k in range(1, 13):
+        total = {}
+        for i in range(k + 1):
+            h = {(k - i,): 1} if k - i else {(): 1}
+            total = _hadd(total, _hmul(elementary_in_h(i), h), scale=(-1) ** i)
+        assert total == {}, k
 
 
 def test_elementary_expansions():

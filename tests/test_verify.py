@@ -88,6 +88,11 @@ def test_dimension_with_explicit_cutoff():
     # a cutoff that is still growing reports instability rather than lying
     low = algebra_dimension(1, 2, max_size=4)
     assert low.rank == 5 and low.rank_smaller == 4 and not low.stable
+    # the smaller cutoff 0 keeps no partition of odd size: an empty span
+    odd = algebra_dimension(2, 1, max_size=2, residues=(1,))
+    assert odd.rank == 2 and odd.rank_smaller == 0 and not odd.stable
+    with pytest.raises(ValueError, match="max_size must be >= n=2"):
+        algebra_dimension(2, 1, max_size=1)
 
 
 def test_dimension_residue_filter():
