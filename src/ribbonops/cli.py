@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success (including verifications with zero failures),
-1 when a verification or cross-check fails, 2 on usage errors such as
-malformed partitions, indivisible sizes, or an unsupported shape family.
+1 when a verification or cross-check fails or checks no case, 2 on usage
+errors such as malformed partitions, indivisible sizes, or an unsupported
+shape family.
 All output is deterministic for a fixed flag set.
 """
 
@@ -180,6 +181,8 @@ def _cmd_tableaux(args):
 
 
 def _cmd_strips(args):
+    if args.weight < 0:
+        raise ValueError(f"--weight must be >= 0, got {args.weight}")
     if args.remove:
         hits = sorted(_hperp_moves(args.inner, args.n, args.weight))
     else:
@@ -268,15 +271,15 @@ def _verify_chunk(task):
 
 
 def _run_checker(name, n, max_size, jobs):
-    jobs = min(jobs, os.cpu_count() or 1)
+    t0 = time.perf_counter()
+    shapes = list(partitions_up_to(max_size))
+    jobs = min(jobs, os.cpu_count() or 1, len(shapes))
     if jobs <= 1:
         return run_identity(name, n, max_size)
     from concurrent.futures import ProcessPoolExecutor
 
-    t0 = time.perf_counter()
-    shapes = list(partitions_up_to(max_size))
-    chunks = [shapes[i::jobs] for i in range(jobs) if shapes[i::jobs]]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+    chunks = [shapes[i::jobs] for i in range(jobs)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(_verify_chunk, [(name, n, max_size, c) for c in chunks]))
     merged = parts[0]
     for p in parts[1:]:

@@ -42,8 +42,10 @@ def horizontal_strips(mu, n, k):
     """All (la, spin) with la/mu a horizontal strip of k n-ribbons.
 
     Distinct head sequences give distinct la (tilings of a horizontal strip
-    are unique), so the pairs need no merging.
+    are unique), so the pairs need no merging.  k must be >= 0.
     """
+    if k < 0:
+        raise ValueError(f"a strip needs k >= 0 ribbons, got {k}")
     return tuple((la, spin) for la, spin, _ in _strips_last(mu, n, k))
 
 

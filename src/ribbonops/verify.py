@@ -2,10 +2,17 @@
 
 Every checker sweeps all partitions up to a size bound, compares both sides
 of an identity exactly, and returns a VerificationReport whose failures
-carry enough data to replay one bad case by hand.  algebra_dimension
-measures the rank of the span of u-word matrices on a truncated Fock space
-over the field of rational functions in q, fraction-free over the integer
-polynomials with a rational-specialization cross-check.
+carry enough data to replay one bad case by hand; a sweep with no cases is
+not ok.
+
+algebra_dimension measures the rank of the span of u-word matrices on a
+truncated Fock space over the field Q(q) of rational functions in q.  The
+rank is certified exactly, without floats or tolerances.  Specializing q to
+a rational point can only lower the rank (a minor that is nonzero at the
+point is a nonzero polynomial), and no rank exceeds min(rows, columns); so
+when a specialization reaches that bound, it is the rank.  Otherwise the
+matrix falls back to fraction-free Bareiss elimination over Z[q], which
+must then reach at least every specialization rank.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ class VerificationReport:
 
     @property
     def ok(self):
-        return not self.failures
+        return self.cases > 0 and not self.failures
 
     def tally(self, lhs, rhs, witness):
         self.cases += 1
@@ -67,7 +74,12 @@ class VerificationReport:
         }
 
     def summary(self):
-        word = "ok" if self.ok else f"{len(self.failures)} FAILED"
+        if self.ok:
+            word = "ok"
+        elif self.failures:
+            word = f"{len(self.failures)} FAILED"
+        else:
+            word = "NOTHING CHECKED"
         return (f"{self.identity} n={self.n} {self.params}: "
                 f"{self.cases} cases, {word} ({self.elapsed:.2f}s)")
 
@@ -224,6 +236,7 @@ class DimensionReport:
     rank_smaller: int
     stable: bool
     specialization_ranks: tuple
+    certificate: str
     elapsed: float
 
     def to_json(self):
@@ -233,6 +246,7 @@ class DimensionReport:
             "words": self.words, "rank": self.rank,
             "rank_smaller": self.rank_smaller, "stable": self.stable,
             "specialization_ranks": list(self.specialization_ranks),
+            "certificate": self.certificate,
             "elapsed": round(self.elapsed, 3),
         }
 
@@ -351,8 +365,27 @@ def _rank_specialized(rows, ncols, point):
     return rank
 
 
-def _span_rank(n, k, max_size, residues, points):
-    basis, mats = _word_matrices(n, k, max_size, residues)
+def _certified_rank(rows, ncols, points):
+    """Exact rank over Q(q) of sparse Z[q] rows, with its certificate.
+
+    Returns (rank, specialization ranks, certificate).  The certificate is
+    "specialization" when a rational point already reaches min(rows, ncols),
+    which bounds the rank from above, and "bareiss" when the fraction-free
+    elimination had to decide.
+    """
+    spec = tuple(_rank_specialized(rows, ncols, pt) for pt in points)
+    if max(spec) == min(len(rows), ncols):
+        return max(spec), spec, "specialization"
+    rank = _rank_bareiss(rows, ncols)
+    if rank < max(spec):
+        raise RuntimeError(
+            f"Bareiss rank {rank} is below the specialization ranks {spec}; "
+            f"the exact elimination is wrong")
+    return rank, spec, "bareiss"
+
+
+def _word_rows(mats):
+    """Sparse Z[q] rows of the word matrices, over their (la, mu) entries."""
     coords = {}
     rows = []
     for mat in mats:
@@ -361,21 +394,36 @@ def _span_rank(n, k, max_size, residues, points):
             key = coords.setdefault((la, mu), len(coords))
             row[key] = QPoly.q_power(t)
         rows.append(row)
-    spec = tuple(_rank_specialized(rows, len(coords), pt) for pt in points)
-    rank = _rank_bareiss(rows, len(coords))
-    return len(basis), len(mats), rank, spec
+    return rows, len(coords)
+
+
+def _span_rank(n, k, max_size, residues, points):
+    basis, mats = _word_matrices(n, k, max_size, residues)
+    rank, spec, certificate = _certified_rank(*_word_rows(mats), points)
+    return len(basis), len(mats), rank, spec, certificate
 
 
 def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
     """Rank of the span of u_1..u_{kn} word matrices on a truncated basis.
 
     Truncating the Fock space can only collapse words, so the rank grows
-    monotonically with the size cutoff and converges to the dimension of the
-    algebra the words span.  Without an explicit max_size the cutoff grows
-    by n until two consecutive ranks agree; with one, the smaller-cutoff
-    rerun reports whether that cutoff was already stable.  Two random
-    rational specializations of q guard the symbolic elimination.
+    monotonically with the size cutoff towards the dimension of the algebra
+    the words span.  Without an explicit max_size the cutoff grows by n
+    until three consecutive cutoffs give the same rank; with one, the
+    smaller-cutoff rerun reports whether that cutoff was already stable.
+    Either way "stable" means the rank stopped growing over the cutoffs
+    tried: it is evidence of convergence, not a proof.
+
+    Each rank is exact over Q(q).  It is computed at two seeded random
+    rational values of q; when either specialization reaches the full
+    min(words, matrix entries), that is the rank (certificate
+    "specialization").  Otherwise Bareiss elimination over Z[q] decides
+    (certificate "bareiss") and must reach at least both specialization
+    ranks, else RuntimeError.  The report's certificate is the one of its
+    rank, the rank at the largest cutoff.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if max_size is not None and max_size < n:
         raise ValueError(
             f"max_size must be >= n={n}, so that the smaller cutoff max_size - n "
@@ -385,6 +433,8 @@ def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
         residues = tuple(range(n))
     else:
         residues = tuple(sorted({r % n for r in residues}))
+        if not residues:
+            raise ValueError("residues must keep at least one size class mod n")
     rng = random.Random(seed)
     points = []
     while len(points) < 2:
@@ -392,14 +442,16 @@ def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
         if pt != 1 and pt not in points:
             points.append(pt)
     if max_size is not None:
-        basis_size, words, rank, spec = _span_rank(n, k, max_size, residues, points)
-        _, _, rank_smaller, _ = _span_rank(n, k, max_size - n, residues, points)
+        basis_size, words, rank, spec, certificate = _span_rank(
+            n, k, max_size, residues, points)
+        rank_smaller = _span_rank(n, k, max_size - n, residues, points)[2]
         stable = rank == rank_smaller
     else:
         max_size = max(n * (k + 1), n * k * k)
         history = []
         while True:
-            basis_size, words, rank, spec = _span_rank(n, k, max_size, residues, points)
+            basis_size, words, rank, spec, certificate = _span_rank(
+                n, k, max_size, residues, points)
             history.append(rank)
             if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
                 stable = True
@@ -413,4 +465,5 @@ def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
         n=n, k=k, max_size=max_size, residues=residues,
         basis_size=basis_size, words=words, rank=rank,
         rank_smaller=rank_smaller, stable=stable,
-        specialization_ranks=spec, elapsed=time.perf_counter() - t0)
+        specialization_ranks=spec, certificate=certificate,
+        elapsed=time.perf_counter() - t0)

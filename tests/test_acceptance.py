@@ -257,17 +257,22 @@ def test_criterion_10_classical_limit():
 def test_criterion_11_algebra_dimensions():
     budget = 600.0
     t0 = time.monotonic()
-    ranks = {k: algebra_dimension(1, k).rank for k in (1, 2, 3)}
+    ranks = {k: algebra_dimension(1, k).rank for k in (1, 2, 3, 4)}
     squares_hold = all(
         algebra_dimension(2, k).rank == ranks[k] ** 2 for k in (1, 2)
     )
+    cube = algebra_dimension(3, 1).rank
     elapsed = time.monotonic() - t0
-    ok = ranks == {1: 2, 2: 5, 3: 14} and squares_hold and elapsed < budget
-    _line(11, ok, f"spans have ranks {ranks[1]}, {ranks[2]}, {ranks[3]} and n=2 squares them ({elapsed:.1f}s < {budget:.0f}s)")
-    assert ranks == {1: 2, 2: 5, 3: 14}
     # the Catalan numbers C_{k+1} = binom(2k+2, k+1) / (k+2)
-    assert ranks == {k: comb(2 * k + 2, k + 1) // (k + 2) for k in (1, 2, 3)}
+    catalan = {k: comb(2 * k + 2, k + 1) // (k + 2) for k in (1, 2, 3, 4)}
+    ok = (ranks == catalan == {1: 2, 2: 5, 3: 14, 4: 42} and squares_hold
+          and cube == 8 and elapsed < budget)
+    _line(11, ok, f"spans have ranks {ranks[1]}, {ranks[2]}, {ranks[3]}, {ranks[4]}, "
+                  f"n=2 squares them, n=3 gives {cube} = {ranks[1]}^3 ({elapsed:.1f}s < {budget:.0f}s)")
+    assert ranks == {1: 2, 2: 5, 3: 14, 4: 42}
+    assert ranks == catalan
     assert squares_hold
+    assert cube == ranks[1] ** 3 == 8
     assert elapsed < budget
 
 

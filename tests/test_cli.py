@@ -115,6 +115,13 @@ def test_strips_add_and_remove(capsys):
     assert out.splitlines() == ["-  spin 0"]
 
 
+@pytest.mark.parametrize("direction", [(), ("--remove",)])
+def test_strips_rejects_a_negative_weight(capsys, direction):
+    code, out, err = run(capsys, "strips", "--n", "2", "--weight", "-1", *direction)
+    assert code == 2 and out == ""
+    assert err == "error: --weight must be >= 0, got -1\n"
+
+
 def test_strips_window_filter(capsys):
     code, out, _ = run(capsys, "strips", "--n", "2", "--inner", "-",
                        "--weight", "1", "--window", "1:9")
@@ -253,12 +260,36 @@ def test_dim_rejects_cutoff_below_n(capsys):
     assert err.strip().startswith("error: max_size must be >= n=2")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--k", "0"), "k must be >= 1, got 0"),
+    (("--k", "-1"), "k must be >= 1, got -1"),
+    (("--blocks", "-"), "residues must keep at least one size class mod n"),
+])
+def test_dim_rejects_degenerate_inputs(capsys, argv, message):
+    code, out, err = run(capsys, "dim", "--n", "1", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_with_no_cases_fails(capsys):
+    code, out, _ = run(capsys, "verify", "--identity", "relations", "--n", "2",
+                       "--max-size", "-1", "--format", "text")
+    assert code == 1
+    assert "0 cases, NOTHING CHECKED" in out
+    code, out, _ = run(capsys, "verify", "--identity", "relations", "--n", "2",
+                       "--max-size", "-1", "--jobs", "2")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["cases"] == 0 and payload["ok"] is False
+
+
 def test_verify_dimension(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "dimension", "--n", "1",
                        "--k", "1")
     assert code == 0
     payload = json.loads(out)
     assert payload["rank"] == 2 and payload["stable"] is True
+    assert payload["certificate"] == "specialization"
 
 
 def test_dim_shorthand(capsys):

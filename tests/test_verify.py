@@ -1,12 +1,18 @@
+from fractions import Fraction
+
 import pytest
 
+from ribbonops import verify
 from ribbonops.partitions import partitions_up_to
 from ribbonops.qpoly import QPoly
 from ribbonops.verify import (
     CHECKERS,
     DimensionReport,
     VerificationReport,
+    _certified_rank,
     _rank_bareiss,
+    _word_matrices,
+    _word_rows,
     algebra_dimension,
     check_cauchy,
     check_h_commute,
@@ -52,6 +58,15 @@ def test_reports_count_failures():
     assert rep.to_json()["failures"][0]["lhs"] == "1"
 
 
+def test_a_sweep_with_no_cases_is_not_ok():
+    rep = VerificationReport("demo", 2, {})
+    assert rep.cases == 0 and not rep.failures and not rep.ok
+    assert "0 cases, NOTHING CHECKED" in rep.summary()
+    empty = check_relations(2, -1)
+    assert empty.cases == 0 and not empty.ok
+    assert empty.to_json()["ok"] is False
+
+
 def test_individual_checkers_expose_their_parameters():
     assert check_cauchy(2, 2, 2, 3).params == {"amax": 2, "bmax": 2, "max_size": 3}
     assert check_heisenberg(2, 2, 3).params == {"kmax": 2, "max_size": 3}
@@ -68,16 +83,55 @@ def test_bareiss_rank_on_integer_polynomials():
     assert _rank_bareiss([{}], 2) == 0
 
 
+POINTS = (Fraction(3, 7), Fraction(5, 2))
+
+
+def test_certified_rank_matches_bareiss_on_word_matrices():
+    for n, k in ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (2, 2)):
+        for max_size in range(13):
+            _, mats = _word_matrices(n, k, max_size, tuple(range(n)))
+            rows, ncols = _word_rows(mats)
+            rank, spec, certificate = _certified_rank(rows, ncols, POINTS)
+            assert rank == _rank_bareiss(rows, ncols), (n, k, max_size)
+            assert certificate == "specialization" and max(spec) == rank
+
+
+def test_certified_rank_falls_back_to_bareiss():
+    one = QPoly.one()
+    q = QPoly({1: 1})
+    # det = 1 - q^2 vanishes only at q = 1 and q = -1
+    rows = [{0: one, 1: q}, {0: q, 1: one}]
+    assert _certified_rank(rows, 2, (Fraction(1),)) == (2, (1,), "bareiss")
+    assert _certified_rank(rows, 2, POINTS) == (2, (2, 2), "specialization")
+    # rank 2 reaches the column count, so a specialization proves it; read
+    # in three columns the same rows are rank deficient and need Bareiss
+    rows = [{0: one, 1: q}, {0: q, 1: q * q}, {1: one}]
+    assert _certified_rank(rows, 2, POINTS) == (2, (2, 2), "specialization")
+    assert _certified_rank(rows, 3, POINTS) == (2, (2, 2), "bareiss")
+    assert _certified_rank([], 0, POINTS) == (0, (0, 0), "specialization")
+
+
+def test_bareiss_below_a_specialization_rank_is_an_error(monkeypatch):
+    one = QPoly.one()
+    q = QPoly({1: 1})
+    rows = [{0: one, 1: q}, {0: q, 1: one}]
+    monkeypatch.setattr(verify, "_rank_bareiss", lambda rows, ncols: 0)
+    with pytest.raises(RuntimeError, match="below the specialization ranks"):
+        _certified_rank(rows, 2, (Fraction(1),))
+
+
 def test_dimension_small_ranks():
     rep = algebra_dimension(1, 1)
     assert rep.rank == 2 and rep.stable
     assert all(r == 2 for r in rep.specialization_ranks)
+    assert rep.certificate == "specialization"
     rep = algebra_dimension(1, 2)
     assert rep.rank == 5 and rep.stable
     rep2 = algebra_dimension(2, 1)
     assert rep2.rank == 4 and rep2.stable
     js = rep2.to_json()
     assert js["rank"] == 4 and js["residues"] == [0, 1]
+    assert js["certificate"] == "specialization"
     assert isinstance(rep2.summary(), str) and "stable" in rep2.summary()
 
 
@@ -93,6 +147,12 @@ def test_dimension_with_explicit_cutoff():
     assert odd.rank == 2 and odd.rank_smaller == 0 and not odd.stable
     with pytest.raises(ValueError, match="max_size must be >= n=2"):
         algebra_dimension(2, 1, max_size=1)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_dimension_needs_a_generator(k):
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+        algebra_dimension(1, k)
 
 
 def test_dimension_residue_filter():
