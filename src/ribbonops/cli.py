@@ -16,21 +16,20 @@ import sys
 import time
 
 from .fock import FockVec
-from .operators import _hperp_moves, apply_expr, parse_expr
+from .operators import apply_expr, parse_expr
 from .partitions import (
     contains,
     core_and_quotient,
     format_partition,
+    horizontal_strips,
     parse_partition,
     partitions_up_to,
 )
 from .positive import UnsupportedShapeError, monomials_in_window, yamanouchi_tableaux
 from .qlr import QLRTable, qlr_table_via_operators, qlr_via_expansion, qlr_via_operators
 from .qpoly import QPoly
-from .tableaux import enumerate_tableaux, horizontal_strips, ribbon_function, strip_heads
+from .tableaux import enumerate_tableaux, ribbon_function, strip_heads
 from .verify import CHECKERS, algebra_dimension, run_identity
-
-IDENTITIES = ("relations", "cauchy", "heisenberg", "haction", "hcommute")
 
 
 def _partition(text):
@@ -90,14 +89,17 @@ def _require_skew(outer, inner):
     return sum(outer) - sum(inner)
 
 
+def _require_nu_size(args, size):
+    if args.n * sum(args.nu) != size:
+        raise ValueError(f"need n*|nu| = {size}, got {args.n}*{sum(args.nu)}")
+
+
 def _cmd_qlr(args):
     size = _require_skew(args.outer, args.inner)
     if size % args.n:
         raise ValueError(f"skew size {size} is not divisible by n={args.n}")
     if args.nu is not None:
-        if args.n * sum(args.nu) != size:
-            raise ValueError(
-                f"need n*|nu| = {size}, got {args.n}*{sum(args.nu)}")
+        _require_nu_size(args, size)
         ops = qlr_via_operators(args.nu, args.outer, args.inner, args.n)
         exp = qlr_via_expansion(args.outer, args.inner, args.n).coefficient(args.nu)
         if ops != exp:
@@ -183,10 +185,9 @@ def _cmd_tableaux(args):
 def _cmd_strips(args):
     if args.weight < 0:
         raise ValueError(f"--weight must be >= 0, got {args.weight}")
+    hits = horizontal_strips(args.inner, args.n, args.weight, args.remove)
     if args.remove:
-        hits = sorted(_hperp_moves(args.inner, args.n, args.weight))
-    else:
-        hits = horizontal_strips(args.inner, args.n, args.weight)
+        hits = sorted(hits)
     if args.window is not None:
         lo, hi = args.window
         kept = []
@@ -244,7 +245,7 @@ def _cmd_monomials(args):
 
 
 def _cmd_yamanouchi(args):
-    _require_skew(args.outer, args.inner)
+    _require_nu_size(args, _require_skew(args.outer, args.inner))
     found = yamanouchi_tableaux(args.nu, args.outer, args.inner, args.n)
     total = QPoly.zero()
     for t in found:
@@ -294,7 +295,7 @@ def _run_checker(name, n, max_size, jobs):
 def _cmd_verify(args):
     if args.identity == "dimension":
         return _dimension(args)
-    names = IDENTITIES if args.identity == "all" else (args.identity,)
+    names = tuple(CHECKERS) if args.identity == "all" else (args.identity,)
     reports = [_run_checker(name, args.n, args.max_size, args.jobs) for name in names]
     if args.format == "text":
         for rep in reports:
@@ -353,7 +354,8 @@ def build_parser():
     p.add_argument("--weight", type=int, required=True, help="ribbons in the strip")
     p.add_argument("--remove", action="store_true")
     p.add_argument("--window", type=_window, default=None,
-                   help="keep strips with all heads inside lo:hi")
+                   help="keep strips with all heads inside lo:hi "
+                        "(write --window=-2:2 for a negative lo)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_strips)
 
@@ -371,7 +373,8 @@ def build_parser():
 
     p = sub.add_parser("monomials", help="positive-formula words over a window")
     _add_common(p, nu=True)
-    p.add_argument("--window", type=_window, required=True)
+    p.add_argument("--window", type=_window, required=True,
+                   help="head diagonals lo:hi (write --window=-2:2 for a negative lo)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_monomials)
 
@@ -382,7 +385,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="identity verification and dimension experiment")
     p.add_argument("--identity", required=True,
-                   choices=IDENTITIES + ("dimension", "all"))
+                   choices=(*CHECKERS, "dimension", "all"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--k", type=int, default=2, help="generator count for dimension")
@@ -411,7 +414,7 @@ def main(argv=None):
     if args.n < 1:
         print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
         return 2
-    if getattr(args, "command", None) == "verify" and args.identity in IDENTITIES + ("all",):
+    if getattr(args, "command", None) == "verify" and args.identity != "dimension":
         if args.max_size is None:
             args.max_size = 8
     try:

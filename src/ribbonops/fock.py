@@ -117,14 +117,6 @@ class FockVec:
         return f"FockVec({self.terms!r})"
 
 
-def inner_product(v, w):
-    return v.inner(w)
-
-
-def coefficient_of(v, la):
-    return v.coefficient(la)
-
-
 def linear_map(v, moves):
     """Extend a basis action linearly.
 

@@ -17,7 +17,7 @@ import re
 from functools import cache
 
 from .fock import FockVec, linear_map
-from .partitions import add_ribbon, parse_partition, remove_ribbon, ribbon_slots
+from .partitions import add_ribbon, horizontal_strips, parse_partition, remove_ribbon, ribbon_slots
 from .qpoly import QPoly, qbracket
 from .symfunc import (
     elementary_in_h,
@@ -52,56 +52,16 @@ def apply_word(letters, n, v):
     return v
 
 
-@cache
-def _h_moves(la, n, k):
-    """(mu, spin) over ascending-head additions of k ribbons starting at la."""
-    if k == 0:
-        return ((la, 0),)
-    out = []
-
-    def rec(cur, min_diag, left, spin):
-        if left == 0:
-            out.append((cur, spin))
-            return
-        for s in ribbon_slots(cur, n):
-            if s.kind == "add" and s.diagonal >= min_diag:
-                nxt, sp = add_ribbon(cur, s.diagonal, n)
-                rec(nxt, s.diagonal + 1, left - 1, spin + sp)
-
-    rec(la, -(len(la) + n * k + 1), k, 0)
-    return tuple(out)
-
-
-@cache
-def _hperp_moves(la, n, k):
-    """(mu, spin) over descending-head removals of k ribbons starting at la."""
-    if k == 0:
-        return ((la, 0),)
-    out = []
-
-    def rec(cur, max_diag, left, spin):
-        if left == 0:
-            out.append((cur, spin))
-            return
-        for s in ribbon_slots(cur, n):
-            if s.kind == "remove" and s.diagonal <= max_diag:
-                nxt, sp = remove_ribbon(cur, s.diagonal, n)
-                rec(nxt, s.diagonal - 1, left - 1, spin + sp)
-
-    rec(la, (la[0] if la else 0) + n + 1, k, 0)
-    return tuple(out)
-
-
 def apply_h(k, n, v):
     if k < 0:
         return FockVec.zero()
-    return linear_map(v, lambda la: _h_moves(la, n, k))
+    return linear_map(v, lambda la: horizontal_strips(la, n, k))
 
 
 def apply_h_perp(k, n, v):
     if k < 0:
         return FockVec.zero()
-    return linear_map(v, lambda la: _hperp_moves(la, n, k))
+    return linear_map(v, lambda la: horizontal_strips(la, n, k, remove=True))
 
 
 @cache

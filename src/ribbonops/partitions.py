@@ -182,6 +182,46 @@ def ribbon_slots(la, n):
     return tuple(out)
 
 
+def ribbon_strips(la, n, k, sign=1, remove=False):
+    """(mu, spin, heads) over k n-ribbon additions to la, or removals from it.
+
+    The head diagonals strictly increase in sign * diagonal along the way;
+    the total spin is the sum of the ribbon spins.  Results come in
+    lexicographic order of the head tuples.  Not memoized: callers that need
+    no heads use horizontal_strips.
+    """
+    if k < 0:
+        raise ValueError(f"a strip needs k >= 0 ribbons, got {k}")
+    kind, move = ("remove", remove_ribbon) if remove else ("add", add_ribbon)
+    out = []
+
+    def rec(cur, left, spin, heads):
+        if left == 0:
+            out.append((cur, spin, heads))
+            return
+        for s in ribbon_slots(cur, n):
+            if s.kind == kind and (not heads or sign * s.diagonal > sign * heads[-1]):
+                nxt, sp = move(cur, s.diagonal, n)
+                rec(nxt, left - 1, spin + sp, heads + (s.diagonal,))
+
+    rec(la, k, 0, ())
+    return out
+
+
+@cache
+def horizontal_strips(la, n, k, remove=False):
+    """All (mu, spin) with mu/la a horizontal strip of k n-ribbons.
+
+    The ribbons go in with ascending heads, as h_k adds them; with
+    remove=True, la/mu is the strip and they come out with descending heads,
+    as h_k^perp removes them.  Distinct head sequences give distinct mu
+    (tilings of a horizontal strip are unique), so the pairs need no
+    merging.  k must be >= 0.
+    """
+    strips = ribbon_strips(la, n, k, -1 if remove else 1, remove)
+    return tuple((mu, spin) for mu, spin, _ in strips)
+
+
 def _runner_charges(la, n, m):
     """Charge o_r of each residue runner, using the first m beta numbers (n | m).
 

@@ -17,7 +17,7 @@ from functools import cache
 from itertools import combinations
 
 from .fock import FockVec, linear_map
-from .partitions import add_ribbon, conjugate, ribbon_slots
+from .partitions import add_ribbon, conjugate, ribbon_slots, ribbon_strips
 from .qpoly import QPoly
 from .tableaux import RibbonTableau
 
@@ -109,46 +109,17 @@ def _s2_ok(x1, x2, c, d, n):
 
 
 @cache
-def _hook_words(la, a, b, n, sign):
+def _hook_words(la, a, b, n):
     """(product word, mu, spin) for hook-formula words acting nonzero on la.
 
-    sign=-1 runs the order-reversed family; all comparisons go through
-    sign * diagonal while the letters stay actual diagonals.
+    The leg goes first with strictly descending heads, then the arm with
+    ascending heads starting below the last leg head.
     """
     out = []
-
-    def row_rec(cur, prev_key, cap, left, spin, acc):
-        if left == 0:
-            out.append((tuple(reversed(acc)), cur, spin))
-            return
-        for s in ribbon_slots(cur, n):
-            if s.kind != "add":
-                continue
-            key = sign * s.diagonal
-            if prev_key is not None and key <= prev_key:
-                continue
-            if cap is not None and key >= cap:
-                continue
-            nxt, sp = add_ribbon(cur, s.diagonal, n)
-            row_rec(nxt, key, None, left - 1, spin + sp, acc + (s.diagonal,))
-
-    def col_rec(cur, ub, left, spin, acc):
-        if left == 0:
-            row_rec(cur, None, ub, a, spin, acc)
-            return
-        for s in ribbon_slots(cur, n):
-            if s.kind != "add":
-                continue
-            key = sign * s.diagonal
-            if ub is not None and key >= ub:
-                continue
-            nxt, sp = add_ribbon(cur, s.diagonal, n)
-            col_rec(nxt, key, left - 1, spin + sp, acc + (s.diagonal,))
-
-    if b == 0:
-        row_rec(la, None, None, a, 0, ())
-    else:
-        col_rec(la, None, b, 0, ())
+    for leg_mu, leg_spin, leg in ribbon_strips(la, n, b, sign=-1):
+        for mu, spin, arm in ribbon_strips(leg_mu, n, a):
+            if not leg or arm[0] < leg[-1]:
+                out.append((tuple(reversed(leg + arm)), mu, leg_spin + spin))
     return tuple(out)
 
 
@@ -156,20 +127,6 @@ def _hook_words(la, a, b, n, sign):
 def _s2_words(la, s, n, sign):
     """(product word, mu, spin) for (s,2)-formula words acting nonzero on la."""
     out = []
-
-    def row_rest(cur, prev_key, left, spin, acc):
-        if left == 0:
-            out.append((tuple(reversed(acc)), cur, spin))
-            return
-        for t in ribbon_slots(cur, n):
-            if t.kind != "add":
-                continue
-            key = sign * t.diagonal
-            if key <= prev_key:
-                continue
-            nxt, sp = add_ribbon(cur, t.diagonal, n)
-            row_rest(nxt, key, left - 1, spin + sp, acc + (t.diagonal,))
-
     for sc in ribbon_slots(la, n):
         if sc.kind != "add":
             continue
@@ -199,13 +156,11 @@ def _s2_words(la, s, n, sign):
                     if below and not (sign * x2 <= sign * c or abs(d - x1) > n):
                         continue
                     after_x2, sp_x2 = add_ribbon(after_x1, x2, n)
-                    row_rest(
-                        after_x2,
-                        sign * x2,
-                        s - 2,
-                        sp_c + sp_d + sp_x1 + sp_x2,
-                        (c, d, x1, x2),
-                    )
+                    spin = sp_c + sp_d + sp_x1 + sp_x2
+                    for mu, sp, rest in ribbon_strips(after_x2, n, s - 2, sign):
+                        if not rest or sign * rest[0] > sign * x2:
+                            word = tuple(reversed((c, d, x1, x2) + rest))
+                            out.append((word, mu, spin + sp))
     return tuple(out)
 
 
@@ -221,19 +176,18 @@ def _classify(nu):
 def formula_words(nu, la, n):
     """All (product word, mu, spin) of the positive formula for s_nu(u) on la.
 
-    Primal for hooks and (s,2); order-reversed for their conjugates;
-    UnsupportedShapeError otherwise.
+    Primal for hooks and (s,2); order-reversed for the conjugates of (s,2),
+    since the conjugate of a hook is a hook; UnsupportedShapeError otherwise.
     """
     kind = _classify(nu)
-    if kind is not None:
-        sign = 1
-    else:
+    sign = 1
+    if kind is None:
         kind = _classify(conjugate(nu))
         if kind is None:
             raise UnsupportedShapeError(f"no positive formula implemented for {nu}")
         sign = -1
     if kind[0] == "hook":
-        return _hook_words(la, kind[1], kind[2], n, sign)
+        return _hook_words(la, kind[1], kind[2], n)
     return _s2_words(la, kind[1], n, sign)
 
 

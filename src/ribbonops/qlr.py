@@ -3,9 +3,11 @@
 c^nu_{outer/inner}(q) is simultaneously the coefficient of q^spin-weighted
 schur operators, <s_nu(u) . inner, outer>, and the coefficient of s_nu in
 the Schur expansion of the ribbon spin generating function.  The routes
-share only the single-ribbon kernel; everything above that differs
-(Jacobi-Trudi determinant signs vs tableau enumeration plus Kostka
-inversion), which is what makes their agreement a real check.
+share the single-ribbon kernel and the horizontal strip search
+(partitions.horizontal_strips), which tests/oracles.py checks against a
+cell-level tiling; everything above that differs (Jacobi-Trudi determinant
+signs vs tableau enumeration plus Kostka inversion), which is what makes
+their agreement a real check.
 """
 
 from __future__ import annotations

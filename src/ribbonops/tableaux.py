@@ -14,54 +14,14 @@ from dataclasses import dataclass
 from functools import cache
 
 from .partitions import (
-    add_ribbon,
     added_cells,
     contains,
+    horizontal_strips,
     partitions_of,
-    ribbon_slots,
+    ribbon_strips,
 )
 from .qpoly import QPoly
 from .symfunc import SymFunc, to_schur_basis
-
-
-@cache
-def _strips_last(mu, n, k):
-    """(la, spin, last_head) over horizontal strips of k ribbons above mu."""
-    if k == 0:
-        return ((mu, 0, None),)
-    out = []
-    for la0, spin0, last in _strips_last(mu, n, k - 1):
-        for s in ribbon_slots(la0, n):
-            if s.kind == "add" and (last is None or s.diagonal > last):
-                la1, sp = add_ribbon(la0, s.diagonal, n)
-                out.append((la1, spin0 + sp, s.diagonal))
-    return tuple(out)
-
-
-def horizontal_strips(mu, n, k):
-    """All (la, spin) with la/mu a horizontal strip of k n-ribbons.
-
-    Distinct head sequences give distinct la (tilings of a horizontal strip
-    are unique), so the pairs need no merging.  k must be >= 0.
-    """
-    if k < 0:
-        raise ValueError(f"a strip needs k >= 0 ribbons, got {k}")
-    return tuple((la, spin) for la, spin, _ in _strips_last(mu, n, k))
-
-
-@cache
-def _strips_within(mu, n, k, outer):
-    """horizontal_strips pruned to partitions contained in outer."""
-    if k == 0:
-        return ((mu, 0, None),)
-    out = []
-    for la0, spin0, last in _strips_within(mu, n, k - 1, outer):
-        for s in ribbon_slots(la0, n):
-            if s.kind == "add" and (last is None or s.diagonal > last):
-                la1, sp = add_ribbon(la0, s.diagonal, n)
-                if contains(outer, la1):
-                    out.append((la1, spin0 + sp, s.diagonal))
-    return tuple(out)
 
 
 def strip_heads(mu, la, n):
@@ -69,20 +29,10 @@ def strip_heads(mu, la, n):
     size = sum(la) - sum(mu)
     if size % n or not contains(la, mu):
         return None
-
-    def rec(cur, min_diag, left):
-        if left == 0:
-            return () if cur == la else None
-        for s in ribbon_slots(cur, n):
-            if s.kind == "add" and s.diagonal >= min_diag:
-                nxt, _ = add_ribbon(cur, s.diagonal, n)
-                if contains(la, nxt):
-                    tail = rec(nxt, s.diagonal + 1, left - 1)
-                    if tail is not None:
-                        return (s.diagonal,) + tail
-        return None
-
-    return rec(mu, -(len(la) + n + 1), size // n)
+    for nu, _, heads in ribbon_strips(mu, n, size // n):
+        if nu == la:
+            return heads
+    return None
 
 
 @dataclass
@@ -156,8 +106,9 @@ def enumerate_tableaux(outer, inner, n, weight):
             if cur == outer:
                 found.append(RibbonTableau(outer, inner, n, chain, spin))
             return
-        for la, sp, _ in _strips_within(cur, n, weight[idx], outer):
-            rec(la, idx + 1, chain + (la,), spin + sp)
+        for la, sp in horizontal_strips(cur, n, weight[idx]):
+            if contains(outer, la):
+                rec(la, idx + 1, chain + (la,), spin + sp)
 
     rec(inner, 0, (inner,), 0)
     return found
@@ -169,7 +120,9 @@ def weight_poly(outer, inner, n, weight):
     if not weight:
         return QPoly.one() if outer == inner else QPoly.zero()
     acc = QPoly.zero()
-    for la, sp, _ in _strips_within(inner, n, weight[0], outer):
+    for la, sp in horizontal_strips(inner, n, weight[0]):
+        if not contains(outer, la):
+            continue
         contribution = weight_poly(outer, la, n, weight[1:])
         if contribution:
             acc = acc + contribution.shifted(sp)

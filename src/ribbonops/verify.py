@@ -84,12 +84,18 @@ class VerificationReport:
                 f"{self.cases} cases, {word} ({self.elapsed:.2f}s)")
 
 
+def _require_ribbons(n):
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def _witness(la, **kw):
     return dict(kw, shape=format_partition(la))
 
 
 def check_relations(n, max_size, shapes=None):
     """Local relations of the u_i and the off-diagonal ud commutation."""
+    _require_ribbons(n)
     t0 = time.perf_counter()
     rep = VerificationReport("relations", n, {"max_size": max_size})
     for la in (partitions_up_to(max_size) if shapes is None else shapes):
@@ -127,6 +133,7 @@ def check_relations(n, max_size, shapes=None):
 
 def check_h_commute(n, kmax, max_size, shapes=None):
     """Horizontal strip operators commute pairwise."""
+    _require_ribbons(n)
     t0 = time.perf_counter()
     rep = VerificationReport("hcommute", n, {"kmax": kmax, "max_size": max_size})
     for la in (partitions_up_to(max_size) if shapes is None else shapes):
@@ -142,6 +149,7 @@ def check_h_commute(n, kmax, max_size, shapes=None):
 
 def check_cauchy(n, amax, bmax, max_size, shapes=None):
     """h_b^perp h_a = sum_i h_i(1, q^2, ..., q^(2n-2)) h_{a-i} h_{b-i}^perp."""
+    _require_ribbons(n)
     t0 = time.perf_counter()
     rep = VerificationReport(
         "cauchy", n, {"amax": amax, "bmax": bmax, "max_size": max_size})
@@ -161,6 +169,7 @@ def check_cauchy(n, amax, bmax, max_size, shapes=None):
 
 def check_heisenberg(n, kmax, max_size, shapes=None):
     """[B_k, B_l] = delta_{k,-l} k [n]_{q^(2|k|)} as operators."""
+    _require_ribbons(n)
     t0 = time.perf_counter()
     rep = VerificationReport("heisenberg", n, {"kmax": kmax, "max_size": max_size})
     ks = [k for k in range(-kmax, kmax + 1) if k != 0]
@@ -181,6 +190,7 @@ def check_heisenberg(n, kmax, max_size, shapes=None):
 def check_haction(n, jmax, max_size, shapes=None):
     """Diagonal operators: closed form of (u_i d_i)^j - (d_i u_i)^j and the
     q-integer values of their tail sums along the diagonal line."""
+    _require_ribbons(n)
     t0 = time.perf_counter()
     rep = VerificationReport("haction", n, {"jmax": jmax, "max_size": max_size})
     for la in (partitions_up_to(max_size) if shapes is None else shapes):
@@ -207,12 +217,13 @@ def check_haction(n, jmax, max_size, shapes=None):
     return rep
 
 
+# Insertion order is the order of `ribbonops verify --identity all`.
 CHECKERS = {
     "relations": lambda n, max_size, shapes=None: check_relations(n, max_size, shapes),
-    "hcommute": lambda n, max_size, shapes=None: check_h_commute(n, 4, max_size, shapes),
     "cauchy": lambda n, max_size, shapes=None: check_cauchy(n, 4, 4, max_size, shapes),
     "heisenberg": lambda n, max_size, shapes=None: check_heisenberg(n, 3, max_size, shapes),
     "haction": lambda n, max_size, shapes=None: check_haction(n, 2, max_size, shapes),
+    "hcommute": lambda n, max_size, shapes=None: check_h_commute(n, 4, max_size, shapes),
 }
 
 
@@ -422,6 +433,7 @@ def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
     ranks, else RuntimeError.  The report's certificate is the one of its
     rank, the rank at the largest cutoff.
     """
+    _require_ribbons(n)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if max_size is not None and max_size < n:

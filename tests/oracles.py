@@ -46,6 +46,39 @@ def ribbon_additions(la, n):
     return out
 
 
+def horizontal_strips_by_tiling(mu, n, k):
+    """Sorted (la, spin) with la/mu a horizontal strip of k n-ribbons.
+
+    LLT's definition, cell by cell: tile la/mu with n-ribbons in every way,
+    by k brute-force ribbon additions, and keep the tilings in which the
+    cell above the top-right cell of each ribbon lies outside la/mu.  The
+    spin sums rows - 1 over the ribbons.
+    """
+    mu = tuple(mu)
+    base = set(cells(mu))
+    tilings = {frozenset(): mu}  # set of ribbons -> partition they fill up to
+    for _ in range(k):
+        grown = {}
+        for ribbons, cur in tilings.items():
+            have = set(cells(cur))
+            for nxt, _ in ribbon_additions(cur, n).values():
+                ribbon = frozenset(set(cells(nxt)) - have)
+                grown[ribbons | {ribbon}] = nxt
+        tilings = grown
+    out = []
+    for ribbons, la in tilings.items():
+        skew = set(cells(la)) - base
+        spin = 0
+        for ribbon in ribbons:
+            r, c = max(ribbon, key=lambda rc: rc[1] - rc[0])
+            if (r - 1, c) in skew:
+                break
+            spin += len({row for row, _ in ribbon}) - 1
+        else:
+            out.append((la, spin))
+    return sorted(out)
+
+
 def _skew_cells(outer, inner):
     return [(r, c) for r, c in cells(outer) if c > (inner[r - 1] if r <= len(inner) else 0)]
 

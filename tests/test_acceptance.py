@@ -10,7 +10,7 @@ import time
 from itertools import combinations
 from math import comb
 
-from ribbonops import operators, positive, tableaux
+from ribbonops import operators, partitions, positive, tableaux
 from ribbonops.fock import FockVec
 from ribbonops.operators import apply_schur, apply_word
 from ribbonops.partitions import (
@@ -55,10 +55,7 @@ def _line(num, ok, detail):
 def _fresh_caches():
     for fn in (
         operators._h_vector,
-        operators._h_moves,
-        operators._hperp_moves,
-        tableaux._strips_last,
-        tableaux._strips_within,
+        partitions.horizontal_strips,
         tableaux.weight_poly,
         positive._hook_words,
         positive._s2_words,

@@ -204,6 +204,13 @@ def test_yamanouchi_agrees_with_pairing(capsys):
     assert len(payload["tableaux"]) == 1
 
 
+
+def test_yamanouchi_rejects_a_wrong_nu_size(capsys):
+    code, out, err = run(capsys, "yamanouchi", "--n", "2", "--outer", "4,4,2,2",
+                         "--nu", "3,1,1")
+    assert code == 2 and out == ""
+    assert err == "error: need n*|nu| = 12, got 2*5\n"
+
 def test_verify_single_identity_text(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "relations", "--n", "3",
                        "--max-size", "4", "--format", "text")

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ribbon_additions
+from oracles import horizontal_strips_by_tiling, ribbon_additions
 from ribbonops.partitions import (
     add_ribbon,
     conjugate,
@@ -12,6 +12,7 @@ from ribbonops.partitions import (
     diagonal_window,
     format_partition,
     from_core_and_quotient,
+    horizontal_strips,
     is_core,
     parse_partition,
     partitions_of,
@@ -68,6 +69,34 @@ def test_ribbon_moves_match_cell_level_oracle():
                     if (hit := add_ribbon(la, i, n))}
             assert mine == oracle, (la, n)
 
+
+
+def test_horizontal_strips_match_the_tiling_oracle():
+    cases = 0
+    for n in (1, 2, 3):
+        for mu in partitions_up_to(5):
+            for k in range(7 // n + 1):
+                want = horizontal_strips_by_tiling(mu, n, k)
+                assert sorted(horizontal_strips(mu, n, k)) == want, (mu, n, k)
+                cases += 1
+    assert cases == 285
+
+
+def test_removing_a_strip_transposes_adding_it():
+    for n in (1, 2, 3):
+        for k in range(7 // n + 1):
+            for m in range(6):
+                added = {(mu, la, spin) for mu in partitions_of(m)
+                         for la, spin in horizontal_strips(mu, n, k)}
+                removed = {(mu, la, spin) for la in partitions_of(m + n * k)
+                           for mu, spin in horizontal_strips(la, n, k, remove=True)}
+                assert added == removed, (n, k, m)
+
+
+@pytest.mark.parametrize("remove", [False, True])
+def test_a_strip_needs_a_nonnegative_count(remove):
+    with pytest.raises(ValueError, match="k >= 0"):
+        horizontal_strips((2, 1), 2, -1, remove)
 
 def test_add_then_remove_is_identity():
     for n in (2, 3):

@@ -67,6 +67,19 @@ def test_a_sweep_with_no_cases_is_not_ok():
     assert empty.to_json()["ok"] is False
 
 
+
+@pytest.mark.parametrize("call", [
+    lambda: check_relations(0, 3),
+    lambda: check_h_commute(-1, 2, 3),
+    lambda: check_cauchy(0, 1, 1, 3),
+    lambda: check_heisenberg(0, 1, 3),
+    lambda: check_haction(-2, 1, 3),
+    lambda: algebra_dimension(0, 1, max_size=2),
+])
+def test_fewer_than_one_ribbon_cell_is_rejected(call):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        call()
+
 def test_individual_checkers_expose_their_parameters():
     assert check_cauchy(2, 2, 2, 3).params == {"amax": 2, "bmax": 2, "max_size": 3}
     assert check_heisenberg(2, 2, 3).params == {"kmax": 2, "max_size": 3}
