@@ -24,11 +24,12 @@ from .partitions import (
     horizontal_strips,
     parse_partition,
     partitions_up_to,
+    ribbon_strips,
 )
 from .positive import UnsupportedShapeError, monomials_in_window, yamanouchi_tableaux
 from .qlr import QLRTable, qlr_table_via_operators, qlr_via_expansion, qlr_via_operators
 from .qpoly import QPoly
-from .tableaux import enumerate_tableaux, ribbon_function, strip_heads
+from .tableaux import enumerate_tableaux, ribbon_function
 from .verify import CHECKERS, algebra_dimension, run_identity
 
 
@@ -185,21 +186,16 @@ def _cmd_tableaux(args):
 def _cmd_strips(args):
     if args.weight < 0:
         raise ValueError(f"--weight must be >= 0, got {args.weight}")
-    hits = horizontal_strips(args.inner, args.n, args.weight, args.remove)
+    if args.window is None:
+        hits = horizontal_strips(args.inner, args.n, args.weight, args.remove)
+    else:
+        lo, hi = args.window
+        strips = ribbon_strips(args.inner, args.n, args.weight,
+                               -1 if args.remove else 1, args.remove)
+        hits = [(la, spin) for la, spin, heads in strips
+                if not heads or lo <= min(heads) and max(heads) <= hi]
     if args.remove:
         hits = sorted(hits)
-    if args.window is not None:
-        lo, hi = args.window
-        kept = []
-        for la, spin in hits:
-            if args.remove:
-                heads = strip_heads(la, args.inner, args.n)
-            else:
-                heads = strip_heads(args.inner, la, args.n)
-            if heads and (heads[0] < lo or heads[-1] > hi):
-                continue
-            kept.append((la, spin))
-        hits = kept
     if args.format == "json":
         _emit({"n": args.n, "shape": list(args.inner), "count": args.weight,
                "direction": "remove" if args.remove else "add",

@@ -69,7 +69,12 @@ class FockVec:
 
     def __mul__(self, scalar):
         if isinstance(scalar, int):
-            scalar = QPoly({0: scalar})
+            v = FockVec()
+            if scalar == 1:
+                v.terms = dict(self.terms)
+            elif scalar:
+                v.terms = {la: c * scalar for la, c in self.terms.items()}
+            return v
         if not isinstance(scalar, QPoly):
             return NotImplemented
         v = FockVec()
@@ -117,6 +122,31 @@ class FockVec:
         return f"FockVec({self.terms!r})"
 
 
+def _scatter(acc, cc, moves):
+    """acc[mu] += q^spin * cc for each (mu, spin) in moves, on raw dicts."""
+    for mu, spin in moves:
+        slot = acc.get(mu)
+        if slot is None:
+            slot = acc[mu] = {}
+        for e, c in cc.items():
+            e += spin
+            nc = slot.get(e, 0) + c
+            if nc:
+                slot[e] = nc
+            else:
+                del slot[e]
+
+
+def _collect(acc):
+    out = FockVec()
+    for mu, d in acc.items():
+        if d:
+            p = QPoly()
+            p.coeffs = d
+            out.terms[mu] = p
+    return out
+
+
 def linear_map(v, moves):
     """Extend a basis action linearly.
 
@@ -125,22 +155,20 @@ def linear_map(v, moves):
     """
     acc = {}
     for la, coeff in v.terms.items():
+        _scatter(acc, coeff.coeffs, moves(la))
+    return _collect(acc)
+
+
+def signed_map(v, moves):
+    """Extend a signed basis action linearly.
+
+    moves(la) yields (c, pairs) groups, c a nonzero int and pairs a sequence
+    of (mu, spin), meaning la -> c q^spin mu for each pair; each group scales
+    the coefficient dict once and then runs linear_map's accumulation.
+    """
+    acc = {}
+    for la, coeff in v.terms.items():
         cc = coeff.coeffs
-        for mu, spin in moves(la):
-            slot = acc.get(mu)
-            if slot is None:
-                slot = acc[mu] = {}
-            for e, c in cc.items():
-                e += spin
-                nc = slot.get(e, 0) + c
-                if nc:
-                    slot[e] = nc
-                else:
-                    del slot[e]
-    out = FockVec()
-    for mu, d in acc.items():
-        if d:
-            p = QPoly()
-            p.coeffs = d
-            out.terms[mu] = p
-    return out
+        for c, pairs in moves(la):
+            _scatter(acc, cc if c == 1 else {e: x * c for e, x in cc.items()}, pairs)
+    return _collect(acc)

@@ -3,9 +3,12 @@
 u_i adds an n-ribbon with head on diagonal i, weighted q^spin; d_i is its
 adjoint.  h_k sums the ascending-head compositions u_{i_k}...u_{i_1}
 (i_1 < ... < i_k), which is exactly "add a horizontal ribbon strip of k
-ribbons"; every other symmetric-function operator (e_k, p_k, schur, skew
-schur, Heisenberg generators B_k) is pushed through its expansion into
-products of the commuting h_k.
+ribbons"; e_k, p_k and (skew) schur operators are pushed through their
+expansions into products of the commuting h_k.  The Heisenberg generators
+B_{-k} = p_k(u) and B_k = p_k(u)^perp are not: by Murnaghan-Nakayama, p_k is
+the alternating sum of the hook schur functions s_{(k-b, 1^b)}, and the
+paper's positive hook formula makes each B_{-k}, and its transpose B_k, one
+pass of signed single-ribbon-word moves.
 
 Words store letters in product order: apply_word((2, 1, 3, 0), n, v)
 computes u_2 u_1 u_3 u_0 . v, so the rightmost letter acts first.
@@ -16,8 +19,16 @@ from __future__ import annotations
 import re
 from functools import cache
 
-from .fock import FockVec, linear_map
-from .partitions import add_ribbon, horizontal_strips, parse_partition, remove_ribbon, ribbon_slots
+from .fock import FockVec, linear_map, signed_map
+from .partitions import (
+    add_ribbon,
+    horizontal_strips,
+    parse_partition,
+    remove_ribbon,
+    ribbon_slots,
+    ribbon_strips,
+)
+from .positive import formula_words
 from .qpoly import QPoly, qbracket
 from .symfunc import (
     elementary_in_h,
@@ -87,17 +98,6 @@ def apply_expansion(expansion, n, v):
     return out
 
 
-def apply_expansion_perp(expansion, n, v):
-    """Apply the adjoint sum_alpha c_alpha h_alpha^perp."""
-    out = FockVec.zero()
-    for alpha, c in expansion.items():
-        w = v
-        for part in alpha:
-            w = apply_h_perp(part, n, w)
-        out = out + w * c
-    return out
-
-
 def apply_e(k, n, v):
     return apply_expansion(elementary_in_h(k), n, v)
 
@@ -114,13 +114,44 @@ def apply_skew_schur(outer, inner, n, v):
     return apply_expansion(skew_schur_in_h(tuple(outer), tuple(inner)), n, v)
 
 
+@cache
+def _B_moves(la, n, k):
+    """Signed moves of B_k on la as ((c, ((mu, spin), ...)), ...), c != 0.
+
+    p_m = sum_{b<m} (-1)^b s_{(m-b, 1^b)} (Murnaghan-Nakayama).  For k = -m
+    each hook term contributes the words of its positive formula on la; for
+    k = m the same words run backwards: the arm comes off with descending
+    heads, then the leg with ascending heads from the last arm head on.
+    Equal (mu, spin) merge and cancelled ones are dropped.
+    """
+    m = abs(k)
+    tally = {}
+    for b in range(m):
+        sign = -1 if b % 2 else 1
+        if k < 0:
+            hits = ((mu, spin) for _, mu, spin in formula_words((m - b,) + (1,) * b, la, n))
+        else:
+            hits = ((mu, arm_spin + leg_spin)
+                    for mid, arm_spin, arm in ribbon_strips(la, n, m - b, sign=-1, remove=True)
+                    for mu, leg_spin, _ in ribbon_strips(mid, n, b, remove=True, after=arm[-1]))
+        for key in hits:
+            tally[key] = tally.get(key, 0) + sign
+    groups = {}
+    for key, c in tally.items():
+        if c:
+            groups.setdefault(c, []).append(key)
+    return tuple((c, tuple(pairs)) for c, pairs in groups.items())
+
+
 def apply_B(k, n, v):
-    """Heisenberg generators: B_{-k} = p_k(u) raises, B_k = p_k(u)^perp lowers (k > 0)."""
+    """Heisenberg generators: B_{-k} = p_k(u) raises, B_k = p_k(u)^perp lowers (k > 0).
+
+    Each is one signed pass of hook-formula ribbon words (see _B_moves), not
+    an expansion into products of h_k.
+    """
     if k == 0:
         raise ValueError("B_0 is not defined")
-    if k < 0:
-        return apply_expansion(power_in_h(-k), n, v)
-    return apply_expansion_perp(power_in_h(k), n, v)
+    return signed_map(v, lambda la: _B_moves(la, n, k))
 
 
 def _diag_weight(la, i, j, n):

@@ -182,11 +182,12 @@ def ribbon_slots(la, n):
     return tuple(out)
 
 
-def ribbon_strips(la, n, k, sign=1, remove=False):
+def ribbon_strips(la, n, k, sign=1, remove=False, after=None):
     """(mu, spin, heads) over k n-ribbon additions to la, or removals from it.
 
-    The head diagonals strictly increase in sign * diagonal along the way;
-    the total spin is the sum of the ribbon spins.  Results come in
+    The head diagonals strictly increase in sign * diagonal along the way,
+    starting past `after` when it is given (a run that continues an earlier
+    one); the total spin is the sum of the ribbon spins.  Results come in
     lexicographic order of the head tuples.  Not memoized: callers that need
     no heads use horizontal_strips.
     """
@@ -195,16 +196,16 @@ def ribbon_strips(la, n, k, sign=1, remove=False):
     kind, move = ("remove", remove_ribbon) if remove else ("add", add_ribbon)
     out = []
 
-    def rec(cur, left, spin, heads):
+    def rec(cur, left, spin, heads, last):
         if left == 0:
             out.append((cur, spin, heads))
             return
         for s in ribbon_slots(cur, n):
-            if s.kind == kind and (not heads or sign * s.diagonal > sign * heads[-1]):
+            if s.kind == kind and (last is None or sign * s.diagonal > sign * last):
                 nxt, sp = move(cur, s.diagonal, n)
-                rec(nxt, left - 1, spin + sp, heads + (s.diagonal,))
+                rec(nxt, left - 1, spin + sp, heads + (s.diagonal,), s.diagonal)
 
-    rec(la, k, 0, ())
+    rec(la, k, 0, (), after)
     return out
 
 

@@ -113,13 +113,13 @@ def _hook_words(la, a, b, n):
     """(product word, mu, spin) for hook-formula words acting nonzero on la.
 
     The leg goes first with strictly descending heads, then the arm with
-    ascending heads starting below the last leg head.
+    ascending heads starting below the last leg head.  So the heads descend
+    through the leg and the first arm head, then ascend from there.
     """
     out = []
-    for leg_mu, leg_spin, leg in ribbon_strips(la, n, b, sign=-1):
-        for mu, spin, arm in ribbon_strips(leg_mu, n, a):
-            if not leg or arm[0] < leg[-1]:
-                out.append((tuple(reversed(leg + arm)), mu, leg_spin + spin))
+    for low_mu, low_spin, down in ribbon_strips(la, n, b + 1, sign=-1):
+        for mu, spin, up in ribbon_strips(low_mu, n, a - 1, after=down[-1]):
+            out.append((tuple(reversed(down + up)), mu, low_spin + spin))
     return tuple(out)
 
 
@@ -157,10 +157,9 @@ def _s2_words(la, s, n, sign):
                         continue
                     after_x2, sp_x2 = add_ribbon(after_x1, x2, n)
                     spin = sp_c + sp_d + sp_x1 + sp_x2
-                    for mu, sp, rest in ribbon_strips(after_x2, n, s - 2, sign):
-                        if not rest or sign * rest[0] > sign * x2:
-                            word = tuple(reversed((c, d, x1, x2) + rest))
-                            out.append((word, mu, spin + sp))
+                    for mu, sp, rest in ribbon_strips(after_x2, n, s - 2, sign, after=x2):
+                        word = tuple(reversed((c, d, x1, x2) + rest))
+                        out.append((word, mu, spin + sp))
     return tuple(out)
 
 

@@ -90,9 +90,10 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return QPoly()
-            return QPoly({e: c * other for e, c in self.coeffs.items()})
+            p = QPoly()
+            if other:
+                p.coeffs = {e: c * other for e, c in self.coeffs.items()}
+            return p
         if not isinstance(other, QPoly):
             return NotImplemented
         out = {}

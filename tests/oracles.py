@@ -1,14 +1,20 @@
 """Independent reference implementations for cross-checking.
 
-Everything here works at the level of explicit cell sets and explicit
+Most of what is here works at the level of explicit cell sets and explicit
 fillings, with none of the edge-sequence machinery the library uses, so an
-agreement test actually compares two different computations.
+agreement test actually compares two different computations.  The rest are
+the library's earlier algorithms, kept as oracles for their replacements:
+the Jacobi-Trudi determinant by permutations and the Heisenberg generators
+by Newton's identity.
 """
 
 from collections import deque
 from itertools import permutations
 
+from ribbonops.fock import FockVec
+from ribbonops.operators import apply_expansion, apply_h_perp
 from ribbonops.partitions import cells, contains, partitions_of
+from ribbonops.symfunc import power_in_h
 
 
 def is_ribbon(cellset):
@@ -175,3 +181,26 @@ def jacobi_trudi_by_permutations(outer, inner=()):
         else:
             del out[key]
     return out
+
+
+def apply_expansion_perp(expansion, n, v):
+    """Apply the adjoint sum_alpha c_alpha h_alpha^perp."""
+    out = FockVec.zero()
+    for alpha, c in expansion.items():
+        w = v
+        for part in alpha:
+            w = apply_h_perp(part, n, w)
+        out = out + w * c
+    return out
+
+
+def apply_B_by_newton(k, n, v):
+    """Heisenberg generators: B_{-k} = p_k(u) raises, B_k = p_k(u)^perp lowers (k > 0).
+
+    p_k goes through Newton's identity into products of h_k.
+    """
+    if k == 0:
+        raise ValueError("B_0 is not defined")
+    if k < 0:
+        return apply_expansion(power_in_h(-k), n, v)
+    return apply_expansion_perp(power_in_h(k), n, v)

@@ -55,6 +55,7 @@ def _line(num, ok, detail):
 def _fresh_caches():
     for fn in (
         operators._h_vector,
+        operators._B_moves,
         partitions.horizontal_strips,
         tableaux.weight_poly,
         positive._hook_words,
@@ -142,7 +143,7 @@ def test_criterion_05_cauchy_commutation():
 
 
 def test_criterion_06_heisenberg_commutators():
-    budget = 120.0
+    budget = 30.0
     _fresh_caches()
     t0 = time.monotonic()
     reports = [check_heisenberg(n, 3, 8) for n in (2, 3)]

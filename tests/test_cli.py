@@ -3,6 +3,8 @@ import json
 import pytest
 
 from ribbonops.cli import main
+from ribbonops.partitions import format_partition, horizontal_strips
+from ribbonops.tableaux import strip_heads
 
 
 def run(capsys, *argv):
@@ -127,6 +129,27 @@ def test_strips_window_filter(capsys):
                        "--weight", "1", "--window", "1:9")
     assert code == 0
     assert out.splitlines() == ["2  spin 0"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("direction", [(), ("--remove",)])
+def test_strips_window_matches_a_strip_heads_filter(capsys, n, direction):
+    # the window filter as it was: every strip's heads recovered by strip_heads
+    remove = bool(direction)
+    for inner in [(), (2, 1), (3, 3, 1), (4, 2, 2), (5, 3, 2, 1)]:
+        for weight in (0, 1, 2):
+            for lo, hi in [(-2, 2), (-4, 1), (0, 6), (-6, 6)]:
+                hits = horizontal_strips(inner, n, weight, remove)
+                want = []
+                for la, spin in (sorted(hits) if remove else hits):
+                    heads = strip_heads(la, inner, n) if remove else strip_heads(inner, la, n)
+                    if not heads or (lo <= heads[0] and heads[-1] <= hi):
+                        want.append({"shape": list(la), "spin": spin})
+                code, out, _ = run(capsys, "strips", "--n", str(n), "--inner",
+                                   format_partition(inner), "--weight", str(weight),
+                                   f"--window={lo}:{hi}", "--format", "json", *direction)
+                assert code == 0
+                assert json.loads(out)["strips"] == want
 
 
 def test_strips_json(capsys):

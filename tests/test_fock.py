@@ -44,6 +44,15 @@ def test_pairing_is_bilinear(u, v, w, c):
     assert u.inner(v) == v.inner(u)
 
 
+@given(vectors)
+def test_int_scalars_match_constant_polynomials(v):
+    for c in (0, 1, -1, 3):
+        assert v * c == v * QPoly({0: c})
+        assert c * v == v * c
+    one = v * 1
+    assert one == v and one.terms is not v.terms
+
+
 def test_basis_is_orthonormal():
     for la in partitions_of(4):
         for mu in partitions_of(4):

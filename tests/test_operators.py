@@ -22,6 +22,7 @@ from ribbonops.operators import (
 )
 from ribbonops.partitions import diagonal_window, partitions_of, partitions_up_to, ribbon_slots
 from ribbonops.qpoly import QPoly, qbracket
+from oracles import apply_B_by_newton
 
 
 def basis(la):
@@ -127,13 +128,37 @@ def test_skew_schur_operator_factors_through_jacobi_trudi():
 
 
 def test_B_raising_and_lowering_are_adjoint():
-    n = 2
-    for k in (1, 2, 3):
-        for la in partitions_up_to(4):
-            for mu in partitions_up_to(4 + n * k):
-                lhs = apply_B(-k, n, basis(la)).inner(basis(mu))
-                rhs = basis(la).inner(apply_B(k, n, basis(mu)))
-                assert lhs == rhs
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            for la in partitions_up_to(4):
+                up = apply_B(-k, n, basis(la))
+                for mu in partitions_up_to(4 + n * k):
+                    lhs = up.inner(basis(mu))
+                    rhs = basis(la).inner(apply_B(k, n, basis(mu)))
+                    assert lhs == rhs
+
+
+B_INDICES = (-3, -2, -1, 1, 2, 3)
+
+
+def test_B_matches_newton_oracle_on_basis_vectors():
+    cases = 0
+    for n in (1, 2, 3):
+        for la in partitions_up_to(7):
+            for k in B_INDICES:
+                assert apply_B(k, n, basis(la)) == apply_B_by_newton(k, n, basis(la)), (n, la, k)
+                cases += 1
+    assert cases == 810
+
+
+def test_B_matches_newton_oracle_on_images():
+    # vectors with many terms and mixed signs, as the Heisenberg check meets them
+    for n in (1, 2, 3):
+        for la in partitions_up_to(5):
+            for l in B_INDICES:
+                w = apply_B_by_newton(l, n, basis(la))
+                for k in B_INDICES:
+                    assert apply_B(k, n, w) == apply_B_by_newton(k, n, w), (n, la, l, k)
 
 
 def test_B_zero_rejected():
