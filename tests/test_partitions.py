@@ -19,6 +19,7 @@ from ribbonops.partitions import (
     partitions_up_to,
     remove_ribbon,
     ribbon_slots,
+    ribbon_strips,
 )
 
 
@@ -91,6 +92,18 @@ def test_removing_a_strip_transposes_adding_it():
                 removed = {(mu, la, spin) for la in partitions_of(m + n * k)
                            for mu, spin in horizontal_strips(la, n, k, remove=True)}
                 assert added == removed, (n, k, m)
+
+
+@pytest.mark.parametrize("remove", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_strip_after_a_head_is_the_filtered_strip(remove, sign):
+    for n in (1, 2, 3):
+        for la in partitions_up_to(6):
+            for k in (1, 2):
+                strips = ribbon_strips(la, n, k, sign, remove)
+                for after in range(-5, 6):
+                    want = [hit for hit in strips if sign * hit[2][0] > sign * after]
+                    assert ribbon_strips(la, n, k, sign, remove, after=after) == want
 
 
 @pytest.mark.parametrize("remove", [False, True])
