@@ -28,7 +28,6 @@ from .partitions import (
     ribbon_slots,
     ribbon_strips,
 )
-from .positive import formula_words
 from .qpoly import QPoly, qbracket
 from .symfunc import (
     elementary_in_h,
@@ -119,9 +118,11 @@ def _B_moves(la, n, k):
     """Signed moves of B_k on la as ((c, ((mu, spin), ...)), ...), c != 0.
 
     p_m = sum_{b<m} (-1)^b s_{(m-b, 1^b)} (Murnaghan-Nakayama).  For k = -m
-    each hook term contributes the words of its positive formula on la; for
-    k = m the same words run backwards: the arm comes off with descending
-    heads, then the leg with ascending heads from the last arm head on.
+    each hook term contributes the words of its positive formula on la: the
+    leg and the first arm head go on with descending heads, then the rest of
+    the arm with ascending heads from the last of them.  For k = m the same
+    words run backwards: the arm comes off with descending heads, then the
+    leg with ascending heads from the last arm head on.
     Equal (mu, spin) merge and cancelled ones are dropped.
     """
     m = abs(k)
@@ -129,7 +130,9 @@ def _B_moves(la, n, k):
     for b in range(m):
         sign = -1 if b % 2 else 1
         if k < 0:
-            hits = ((mu, spin) for _, mu, spin in formula_words((m - b,) + (1,) * b, la, n))
+            hits = ((mu, leg_spin + arm_spin)
+                    for low, leg_spin, leg in ribbon_strips(la, n, b + 1, sign=-1)
+                    for mu, arm_spin, _ in ribbon_strips(low, n, m - b - 1, after=leg[-1]))
         else:
             hits = ((mu, arm_spin + leg_spin)
                     for mid, arm_spin, arm in ribbon_strips(la, n, m - b, sign=-1, remove=True)

@@ -129,36 +129,6 @@ class QPoly:
         """Largest exponent; -1 on the zero polynomial (matching list length conventions)."""
         return max(self.coeffs, default=-1)
 
-    def leading(self):
-        """(exponent, coefficient) of the top term."""
-        e = max(self.coeffs)
-        return e, self.coeffs[e]
-
-    def divexact(self, other):
-        """Quotient self/other when the division is exact in Z[q]; raises otherwise."""
-        if not other:
-            raise ZeroDivisionError("QPoly division by zero")
-        rem = dict(self.coeffs)
-        de, dc = other.leading()
-        quo = {}
-        while rem:
-            e = max(rem)
-            c = rem[e]
-            if e < de or c % dc:
-                raise ValueError("inexact QPoly division")
-            qe, qc = e - de, c // dc
-            quo[qe] = qc
-            for oe, oc in other.coeffs.items():
-                k = oe + qe
-                nc = rem.get(k, 0) - oc * qc
-                if nc:
-                    rem[k] = nc
-                else:
-                    rem.pop(k, None)
-        p = QPoly()
-        p.coeffs = quo
-        return p
-
     def evaluate(self, x):
         """Value at x, exact when x is an int or Fraction."""
         if not isinstance(x, (int, Fraction)):

@@ -7,12 +7,13 @@ not ok.
 
 algebra_dimension measures the rank of the span of u-word matrices on a
 truncated Fock space over the field Q(q) of rational functions in q.  The
-rank is certified exactly, without floats or tolerances.  Specializing q to
-a rational point can only lower the rank (a minor that is nonzero at the
-point is a nonzero polynomial), and no rank exceeds min(rows, columns); so
-when a specialization reaches that bound, it is the rank.  Otherwise the
-matrix falls back to fraction-free Bareiss elimination over Z[q], which
-must then reach at least every specialization rank.
+rank is certified exactly, without floats or tolerances, by one sparse
+elimination run at integer values of q.  Every entry is a power of q, and
+setting q to a point (mod a prime or not) can only lower a rank, while no
+rank exceeds min(rows, columns); so when one point mod 2^61 - 1 reaches that
+bound, it is the rank.  Otherwise the exact ranks over Q at R D + 1 points
+decide, where R is that bound and D the largest exponent: no nonzero minor
+vanishes at all of them.
 """
 
 from __future__ import annotations
@@ -311,106 +312,89 @@ def _normalize(mat):
     return tuple(sorted((la, mu, t - base) for la, (mu, t) in mat.items()))
 
 
-def _rank_bareiss(rows, ncols):
-    """Fraction-free row reduction over integer polynomials in q."""
-    rows = [dict(r) for r in rows]
-    prev = QPoly.one()
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for idx in range(rank, len(rows)):
-            if rows[idx].get(col):
-                pivot = idx
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        for idx in range(rank + 1, len(rows)):
-            r = rows[idx]
-            f = r.pop(col, None)
-            if f is None and not r:
-                continue
-            new = {}
-            for c in set(r) | set(prow):
-                if c == col:
-                    continue
-                val = p * r.get(c, QPoly.zero()) - (f or QPoly.zero()) * prow.get(c, QPoly.zero())
-                if val:
-                    new[c] = val.divexact(prev)
-            rows[idx] = new
-        prev = p
-        rank += 1
-    return rank
+# A Mersenne prime: q = a mod P is the one point of the modular certificate.
+_P = 2 ** 61 - 1
 
 
-def _rank_specialized(rows, ncols, point):
-    rows = [{c: Fraction(v.evaluate(point)) for c, v in r.items()} for r in rows]
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for idx in range(rank, len(rows)):
-            if rows[idx].get(col):
-                pivot = idx
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        for idx in range(rank + 1, len(rows)):
-            f = rows[idx].pop(col, None)
-            if not f:
-                continue
-            r = rows[idx]
-            for c, v in prow.items():
-                if c == col:
-                    continue
-                nv = r.get(c, Fraction(0)) - f * v / p
-                if nv:
-                    r[c] = nv
-                else:
-                    r.pop(c, None)
-        rank += 1
-    return rank
+def _rank(rows, point, modulus=None):
+    """Rank of sparse rows {col: exponent} with q set to an integer point.
 
-
-def _certified_rank(rows, ncols, points):
-    """Exact rank over Q(q) of sparse Z[q] rows, with its certificate.
-
-    Returns (rank, specialization ranks, certificate).  The certificate is
-    "specialization" when a rational point already reaches min(rows, ncols),
-    which bounds the rank from above, and "bareiss" when the fraction-free
-    elimination had to decide.
+    The entries are q^exponent.  With a modulus the elimination runs over
+    that prime field, otherwise exactly over Q.  Each row is reduced by the
+    pivot rows, keyed by their leading column and scaled to lead with 1,
+    until it vanishes or leads a column of its own.
     """
-    spec = tuple(_rank_specialized(rows, ncols, pt) for pt in points)
-    if max(spec) == min(len(rows), ncols):
-        return max(spec), spec, "specialization"
-    rank = _rank_bareiss(rows, ncols)
-    if rank < max(spec):
+    if modulus is None:
+        reduce, inverse = (lambda x: x), (lambda x: 1 / Fraction(x))
+    else:
+        reduce, inverse = (lambda x: x % modulus), (lambda x: pow(x, -1, modulus))
+    powers = {t: reduce(point ** t) for row in rows for t in row.values()}
+    pivots = {}
+    for row in rows:
+        r = {c: powers[t] for c, t in row.items() if powers[t]}
+        while r:
+            col = min(r)
+            prow = pivots.get(col)
+            if prow is None:
+                scale = inverse(r[col])
+                pivots[col] = {c: reduce(v * scale) for c, v in r.items()}
+                break
+            f = r.pop(col)
+            for c, v in prow.items():
+                if c != col:
+                    nv = reduce(r.get(c, 0) - f * v)
+                    if nv:
+                        r[c] = nv
+                    else:
+                        r.pop(c, None)
+    return len(pivots)
+
+
+def _certified_rank(rows, ncols, point):
+    """Exact rank over Q(q) of sparse rows {col: exponent}, with its certificate.
+
+    Returns (rank, specialization ranks, certificate).  The rows are ranked
+    once at q = point mod P; q -> point mod P is a ring map, so that rank is
+    at most the rank over Q(q), and when it reaches min(rows, ncols) it is
+    the rank (certificate "specialization").  Otherwise the rows are ranked
+    exactly over Q at q = 0, 1, ..., R D, with R = min(rows, ncols) and D the
+    largest exponent: a nonzero r x r minor is a polynomial of degree at most
+    R D, so it is nonzero at one of those points, and the largest of those
+    ranks is the rank (certificate "degree-bound").  It must reach the
+    modular rank, else RuntimeError.
+    """
+    full = min(len(rows), ncols)
+    modular = _rank(rows, point, _P)
+    if modular == full:
+        return full, (modular,), "specialization"
+    top = max((t for row in rows for t in row.values()), default=0)
+    rank = 0
+    for x in range(full * top + 1):
+        rank = max(rank, _rank(rows, x))
+        if rank == full:
+            break
+    if rank < modular:
         raise RuntimeError(
-            f"Bareiss rank {rank} is below the specialization ranks {spec}; "
+            f"exact rank {rank} is below the modular rank {modular}; "
             f"the exact elimination is wrong")
-    return rank, spec, "bareiss"
+    return rank, (modular,), "degree-bound"
 
 
 def _word_rows(mats):
-    """Sparse Z[q] rows of the word matrices, over their (la, mu) entries."""
+    """Sparse rows {col: exponent} of the word matrices over their (la, mu) entries."""
     coords = {}
     rows = []
     for mat in mats:
         row = {}
         for la, mu, t in mat:
-            key = coords.setdefault((la, mu), len(coords))
-            row[key] = QPoly.q_power(t)
+            row[coords.setdefault((la, mu), len(coords))] = t
         rows.append(row)
     return rows, len(coords)
 
 
-def _span_rank(n, k, max_size, residues, points):
+def _span_rank(n, k, max_size, residues, point):
     basis, mats = _word_matrices(n, k, max_size, residues)
-    rank, spec, certificate = _certified_rank(*_word_rows(mats), points)
+    rank, spec, certificate = _certified_rank(*_word_rows(mats), point)
     return len(basis), len(mats), rank, spec, certificate
 
 
@@ -425,12 +409,13 @@ def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
     Either way "stable" means the rank stopped growing over the cutoffs
     tried: it is evidence of convergence, not a proof.
 
-    Each rank is exact over Q(q).  It is computed at two seeded random
-    rational values of q; when either specialization reaches the full
-    min(words, matrix entries), that is the rank (certificate
-    "specialization").  Otherwise Bareiss elimination over Z[q] decides
-    (certificate "bareiss") and must reach at least both specialization
-    ranks, else RuntimeError.  The report's certificate is the one of its
+    Each rank is exact over Q(q).  It is computed once with q set to a
+    seeded random integer modulo the prime 2^61 - 1; when that reaches the
+    full min(words, matrix entries), it is the rank (certificate
+    "specialization", the one entry of specialization_ranks).  Otherwise the
+    exact ranks over Q at the points 0..R D decide (certificate
+    "degree-bound", see _certified_rank) and must reach at least the modular
+    rank, else RuntimeError.  The report's certificate is the one of its
     rank, the rank at the largest cutoff.
     """
     _require_ribbons(n)
@@ -447,23 +432,18 @@ def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
         residues = tuple(sorted({r % n for r in residues}))
         if not residues:
             raise ValueError("residues must keep at least one size class mod n")
-    rng = random.Random(seed)
-    points = []
-    while len(points) < 2:
-        pt = Fraction(rng.randint(2, 97), rng.randint(2, 97))
-        if pt != 1 and pt not in points:
-            points.append(pt)
+    point = random.Random(seed).randrange(2, _P - 1)
     if max_size is not None:
         basis_size, words, rank, spec, certificate = _span_rank(
-            n, k, max_size, residues, points)
-        rank_smaller = _span_rank(n, k, max_size - n, residues, points)[2]
+            n, k, max_size, residues, point)
+        rank_smaller = _span_rank(n, k, max_size - n, residues, point)[2]
         stable = rank == rank_smaller
     else:
         max_size = max(n * (k + 1), n * k * k)
         history = []
         while True:
             basis_size, words, rank, spec, certificate = _span_rank(
-                n, k, max_size, residues, points)
+                n, k, max_size, residues, point)
             history.append(rank)
             if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
                 stable = True

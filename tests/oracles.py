@@ -4,8 +4,8 @@ Most of what is here works at the level of explicit cell sets and explicit
 fillings, with none of the edge-sequence machinery the library uses, so an
 agreement test actually compares two different computations.  The rest are
 the library's earlier algorithms, kept as oracles for their replacements:
-the Jacobi-Trudi determinant by permutations and the Heisenberg generators
-by Newton's identity.
+the Jacobi-Trudi determinant by permutations, the Heisenberg generators
+by Newton's identity and the rank over Q(q) by Bareiss elimination.
 """
 
 from collections import deque
@@ -14,6 +14,7 @@ from itertools import permutations
 from ribbonops.fock import FockVec
 from ribbonops.operators import apply_expansion, apply_h_perp
 from ribbonops.partitions import cells, contains, partitions_of
+from ribbonops.qpoly import QPoly
 from ribbonops.symfunc import power_in_h
 
 
@@ -204,3 +205,62 @@ def apply_B_by_newton(k, n, v):
     if k < 0:
         return apply_expansion(power_in_h(-k), n, v)
     return apply_expansion_perp(power_in_h(k), n, v)
+
+
+def divexact(a, b):
+    """Quotient a/b of QPolys when the division is exact in Z[q]; raises otherwise."""
+    if not b:
+        raise ZeroDivisionError("QPoly division by zero")
+    rem = dict(a.coeffs)
+    de = max(b.coeffs)
+    dc = b.coeffs[de]
+    quo = {}
+    while rem:
+        e = max(rem)
+        c = rem[e]
+        if e < de or c % dc:
+            raise ValueError("inexact QPoly division")
+        qe, qc = e - de, c // dc
+        quo[qe] = qc
+        for oe, oc in b.coeffs.items():
+            k = oe + qe
+            nc = rem.get(k, 0) - oc * qc
+            if nc:
+                rem[k] = nc
+            else:
+                rem.pop(k, None)
+    return QPoly(quo)
+
+
+def rank_by_bareiss(rows, ncols):
+    """Rank over Q(q) of sparse QPoly rows by fraction-free Bareiss elimination."""
+    rows = [dict(r) for r in rows]
+    prev = QPoly.one()
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for idx in range(rank, len(rows)):
+            if rows[idx].get(col):
+                pivot = idx
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        p = prow[col]
+        for idx in range(rank + 1, len(rows)):
+            r = rows[idx]
+            f = r.pop(col, None)
+            if f is None and not r:
+                continue
+            new = {}
+            for c in set(r) | set(prow):
+                if c == col:
+                    continue
+                val = p * r.get(c, QPoly.zero()) - (f or QPoly.zero()) * prow.get(c, QPoly.zero())
+                if val:
+                    new[c] = divexact(val, prev)
+            rows[idx] = new
+        prev = p
+        rank += 1
+    return rank

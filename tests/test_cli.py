@@ -322,6 +322,18 @@ def test_verify_dimension(capsys):
     assert payload["certificate"] == "specialization"
 
 
+def test_dim_json_ranks_one_point_whatever_the_seed(capsys):
+    ranks = []
+    for seed in ("1", "2"):
+        code, out, _ = run(capsys, "dim", "--n", "1", "--k", "3", "--seed", seed,
+                           "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["certificate"] == "specialization"
+        assert payload["specialization_ranks"] == [payload["rank"]]
+        ranks.append(payload["rank"])
+    assert ranks == [14, 14]
+
+
 def test_dim_shorthand(capsys):
     code, out, _ = run(capsys, "dim", "--n", "1", "--k", "1", "--format", "text")
     assert code == 0

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ribbonops import operators, positive
 from ribbonops.fock import FockVec
 from ribbonops.operators import (
     apply_B,
@@ -159,6 +160,15 @@ def test_B_matches_newton_oracle_on_images():
                 w = apply_B_by_newton(l, n, basis(la))
                 for k in B_INDICES:
                     assert apply_B(k, n, w) == apply_B_by_newton(k, n, w), (n, la, l, k)
+
+
+def test_B_raising_fills_no_hook_word_memo():
+    # B_{-k} searches its hook words itself and memoizes only its merged moves
+    operators._B_moves.cache_clear()
+    positive._hook_words.cache_clear()
+    for la in partitions_up_to(4):
+        assert apply_B(-3, 2, basis(la))
+    assert positive._hook_words.cache_info().currsize == 0
 
 
 def test_B_zero_rejected():

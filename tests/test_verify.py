@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from ribbonops import verify
@@ -10,7 +8,6 @@ from ribbonops.verify import (
     DimensionReport,
     VerificationReport,
     _certified_rank,
-    _rank_bareiss,
     _word_matrices,
     _word_rows,
     algebra_dimension,
@@ -21,6 +18,7 @@ from ribbonops.verify import (
     check_relations,
     run_identity,
 )
+from oracles import rank_by_bareiss
 
 
 def test_every_checker_passes_at_desk_scale():
@@ -92,11 +90,11 @@ def test_bareiss_rank_on_integer_polynomials():
     q = QPoly({1: 1})
     rows = [{0: one, 1: q}, {0: q, 1: q * q}, {1: one}]
     # row 2 = q * row 1 except for the last row, so rank is 2
-    assert _rank_bareiss(rows, 2) == 2
-    assert _rank_bareiss([{}], 2) == 0
+    assert rank_by_bareiss(rows, 2) == 2
+    assert rank_by_bareiss([{}], 2) == 0
 
 
-POINTS = (Fraction(3, 7), Fraction(5, 2))
+POINT = 3
 
 
 def test_certified_rank_matches_bareiss_on_word_matrices():
@@ -104,33 +102,41 @@ def test_certified_rank_matches_bareiss_on_word_matrices():
         for max_size in range(13):
             _, mats = _word_matrices(n, k, max_size, tuple(range(n)))
             rows, ncols = _word_rows(mats)
-            rank, spec, certificate = _certified_rank(rows, ncols, POINTS)
-            assert rank == _rank_bareiss(rows, ncols), (n, k, max_size)
-            assert certificate == "specialization" and max(spec) == rank
+            rank, spec, certificate = _certified_rank(rows, ncols, POINT)
+            polys = [{c: QPoly.q_power(t) for c, t in row.items()} for row in rows]
+            assert rank == rank_by_bareiss(polys, ncols), (n, k, max_size)
+            assert certificate == "specialization" and spec == (rank,)
 
 
-def test_certified_rank_falls_back_to_bareiss():
-    one = QPoly.one()
-    q = QPoly({1: 1})
+def test_certified_rank_falls_back_to_the_degree_bound():
     # det = 1 - q^2 vanishes only at q = 1 and q = -1
-    rows = [{0: one, 1: q}, {0: q, 1: one}]
-    assert _certified_rank(rows, 2, (Fraction(1),)) == (2, (1,), "bareiss")
-    assert _certified_rank(rows, 2, POINTS) == (2, (2, 2), "specialization")
-    # rank 2 reaches the column count, so a specialization proves it; read
-    # in three columns the same rows are rank deficient and need Bareiss
-    rows = [{0: one, 1: q}, {0: q, 1: q * q}, {1: one}]
-    assert _certified_rank(rows, 2, POINTS) == (2, (2, 2), "specialization")
-    assert _certified_rank(rows, 3, POINTS) == (2, (2, 2), "bareiss")
-    assert _certified_rank([], 0, POINTS) == (0, (0, 0), "specialization")
+    rows = [{0: 0, 1: 1}, {0: 1, 1: 0}]
+    assert _certified_rank(rows, 2, 1) == (2, (1,), "degree-bound")
+    assert _certified_rank(rows, 2, POINT) == (2, (2,), "specialization")
+    # rank 2 reaches the column count, so one point proves it; read in three
+    # columns the same rows are rank deficient and need the exact fallback
+    rows = [{0: 0, 1: 1}, {0: 1, 1: 2}, {1: 0}]
+    assert _certified_rank(rows, 2, POINT) == (2, (2,), "specialization")
+    assert _certified_rank(rows, 3, POINT) == (2, (2,), "degree-bound")
+    assert _certified_rank([], 0, POINT) == (0, (0,), "specialization")
+    # the first row is q times the second, so no point reaches full rank
+    rows = [{0: 1, 1: 2}, {0: 0, 1: 1}]
+    assert _certified_rank(rows, 2, POINT) == (1, (1,), "degree-bound")
 
 
-def test_bareiss_below_a_specialization_rank_is_an_error(monkeypatch):
-    one = QPoly.one()
-    q = QPoly({1: 1})
-    rows = [{0: one, 1: q}, {0: q, 1: one}]
-    monkeypatch.setattr(verify, "_rank_bareiss", lambda rows, ncols: 0)
-    with pytest.raises(RuntimeError, match="below the specialization ranks"):
-        _certified_rank(rows, 2, (Fraction(1),))
+def test_exact_rank_below_the_modular_rank_is_an_error(monkeypatch):
+    rows = [{0: 0, 1: 1}, {0: 1, 1: 0}]
+    modular = verify._rank
+    monkeypatch.setattr(verify, "_rank", lambda rows, point, modulus=None:
+                        modular(rows, point, modulus) if modulus else 0)
+    with pytest.raises(RuntimeError, match="below the modular rank 1"):
+        _certified_rank(rows, 2, 1)
+
+
+def test_dimension_ranks_one_modular_point():
+    rep = algebra_dimension(1, 3)
+    assert rep.rank == 14 and rep.specialization_ranks == (14,)
+    assert rep.certificate == "specialization"
 
 
 def test_dimension_small_ranks():
