@@ -8,16 +8,16 @@ conjugate families (b+1, 1^(a-1)) and (2, 2, 1^(s-2)) come for free by
 reversing the order on letter values, which swaps the roles of h and e.
 
 Words are stored in product order (rightmost letter acts first), matching
-apply_word.
+apply_word.  The words acting on a partition are found as two ribbon strips
+each (partitions.ribbon_strips).
 """
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations
 
 from .fock import FockVec, linear_map
-from .partitions import add_ribbon, conjugate, ribbon_slots, ribbon_strips
+from .partitions import add_ribbon, conjugate, ribbon_strips
 from .qpoly import QPoly
 from .tableaux import RibbonTableau
 
@@ -108,13 +108,14 @@ def _s2_ok(x1, x2, c, d, n):
     return x2 <= c or d - x1 > n
 
 
-@cache
 def _hook_words(la, a, b, n):
     """(product word, mu, spin) for hook-formula words acting nonzero on la.
 
     The leg goes first with strictly descending heads, then the arm with
     ascending heads starting below the last leg head.  So the heads descend
-    through the leg and the first arm head, then ascend from there.
+    through the leg and the first arm head, then ascend from there.  Not
+    memoized: each caller reads every (la, nu) once, and operators._B_moves
+    keeps its own merged moves.
     """
     out = []
     for low_mu, low_spin, down in ribbon_strips(la, n, b + 1, sign=-1):
@@ -123,43 +124,18 @@ def _hook_words(la, a, b, n):
     return tuple(out)
 
 
-@cache
 def _s2_words(la, s, n, sign):
-    """(product word, mu, spin) for (s,2)-formula words acting nonzero on la."""
+    """(product word, mu, spin) for (s,2)-formula words acting nonzero on la.
+
+    The lower row (c, d) goes on as a 2-strip, then the top row as an s-strip;
+    _s2_ok, in the sign-adjusted order, is the same rule s2_monomials uses.
+    Not memoized, as _hook_words.
+    """
     out = []
-    for sc in ribbon_slots(la, n):
-        if sc.kind != "add":
-            continue
-        c = sc.diagonal
-        after_c, sp_c = add_ribbon(la, c, n)
-        for sd in ribbon_slots(after_c, n):
-            if sd.kind != "add" or sign * sd.diagonal <= sign * c:
-                continue
-            d = sd.diagonal
-            after_d, sp_d = add_ribbon(after_c, d, n)
-            for sx1 in ribbon_slots(after_d, n):
-                if sx1.kind != "add":
-                    continue
-                x1 = sx1.diagonal
-                if x1 == c:
-                    continue
-                if sign * x1 > sign * c and abs(d - c) > n:
-                    continue
-                below = sign * x1 < sign * c
-                after_x1, sp_x1 = add_ribbon(after_d, x1, n)
-                for sx2 in ribbon_slots(after_x1, n):
-                    if sx2.kind != "add":
-                        continue
-                    x2 = sx2.diagonal
-                    if sign * x2 <= sign * x1 or sign * x2 > sign * d:
-                        continue
-                    if below and not (sign * x2 <= sign * c or abs(d - x1) > n):
-                        continue
-                    after_x2, sp_x2 = add_ribbon(after_x1, x2, n)
-                    spin = sp_c + sp_d + sp_x1 + sp_x2
-                    for mu, sp, rest in ribbon_strips(after_x2, n, s - 2, sign, after=x2):
-                        word = tuple(reversed((c, d, x1, x2) + rest))
-                        out.append((word, mu, spin + sp))
+    for mid, low_spin, (c, d) in ribbon_strips(la, n, 2, sign):
+        for mu, spin, row in ribbon_strips(mid, n, s, sign):
+            if _s2_ok(sign * row[0], sign * row[1], sign * c, sign * d, n):
+                out.append((tuple(reversed((c, d) + row)), mu, low_spin + spin))
     return tuple(out)
 
 

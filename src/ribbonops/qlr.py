@@ -5,7 +5,8 @@ schur operators, <s_nu(u) . inner, outer>, and the coefficient of s_nu in
 the Schur expansion of the ribbon spin generating function.  The routes
 share the single-ribbon kernel and the horizontal strip search
 (partitions.horizontal_strips), which tests/oracles.py checks against a
-cell-level tiling; everything above that differs (Jacobi-Trudi determinant
+cell-level tiling; the expansion route also counts its Kostka numbers with
+the n = 1 strips.  Everything above that differs (Jacobi-Trudi determinant
 signs vs tableau enumeration plus Kostka inversion), which is what makes
 their agreement a real check.
 """

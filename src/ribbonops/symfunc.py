@@ -5,6 +5,9 @@ power and elementary sums expanded into products of complete homogeneous
 functions (so they can be pushed through any algebra where the h_k commute),
 Kostka numbers, and the unitriangular monomial -> Schur basis change.
 h-products are recorded as dicts {sorted tuple of parts: int coefficient}.
+Kostka numbers count the n = 1 strips of partitions.horizontal_strips, so
+there is no strip search here; within the package only the expansion route
+reads them, through to_schur_basis.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .partitions import partitions_of
+from .partitions import horizontal_strips, partitions_of
 from .qpoly import QPoly, qbracket
 
 
@@ -80,14 +83,13 @@ def skew_schur_in_h(outer, inner=()):
     return minor((1 << l) - 1)
 
 
-@cache
 def schur_in_h(nu):
     return skew_schur_in_h(nu, ())
 
 
-@cache
 def elementary_in_h(k):
-    return schur_in_h((1,) * k)
+    """e_k = s_(1^k); e_k = 0 for k < 0."""
+    return schur_in_h((1,) * k) if k >= 0 else {}
 
 
 @cache
@@ -102,35 +104,18 @@ def power_in_h(k):
 
 
 @cache
-def ordinary_strips_below(nu, k):
-    """All mu with nu/mu a horizontal strip of k boxes (1-ribbons)."""
-    out = []
-
-    def rec(row, prev, left, acc):
-        if row == len(nu):
-            if left == 0:
-                out.append(tuple(p for p in acc if p))
-            return
-        hi = min(nu[row], prev)
-        lo = nu[row + 1] if row + 1 < len(nu) else 0
-        for p in range(hi, lo - 1, -1):
-            drop = nu[row] - p
-            if drop > left:
-                break
-            rec(row + 1, p, left - drop, acc + (p,))
-
-    rec(0, nu[0] if nu else 0, k, ())
-    return tuple(out)
-
-
-@cache
 def kostka(nu, rho):
-    """Number of semistandard tableaux of shape nu and content rho."""
+    """Number of semistandard tableaux of shape nu and content rho.
+
+    The cells holding the largest letter form a horizontal strip: at n = 1 a
+    ribbon is a box with spin 0, so these are the 1-ribbon strips that
+    h_k^perp removes, each exactly once.
+    """
     if sum(nu) != sum(rho):
         return 0
     if not rho:
         return 1 if not nu else 0
-    return sum(kostka(mu, rho[:-1]) for mu in ordinary_strips_below(nu, rho[-1]))
+    return sum(kostka(mu, rho[:-1]) for mu, _ in horizontal_strips(nu, 1, rho[-1], remove=True))
 
 
 @dataclass

@@ -2,15 +2,15 @@
 
 Every check is exact (integer polynomial equality, no tolerances); the time
 budgets are wall-clock ceilings for a cold cache on ordinary hardware.  Runs
-are kept memory-stable by clearing the vector caches between the heavy
-criteria.
+are kept memory-stable by clearing every memo table of the package between
+the heavy criteria.
 """
 
+import sys
 import time
 from itertools import combinations
 from math import comb
 
-from ribbonops import operators, partitions, positive, tableaux
 from ribbonops.fock import FockVec
 from ribbonops.operators import apply_schur, apply_word
 from ribbonops.partitions import (
@@ -53,15 +53,12 @@ def _line(num, ok, detail):
 
 
 def _fresh_caches():
-    for fn in (
-        operators._h_vector,
-        operators._B_moves,
-        partitions.horizontal_strips,
-        tableaux.weight_poly,
-        positive._hook_words,
-        positive._s2_words,
-    ):
-        fn.cache_clear()
+    # every memo table of every loaded ribbonops module
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("ribbonops.") and mod is not None:
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == modname:
+                    obj.cache_clear()
 
 
 def test_criterion_01_rectangle_generating_function():

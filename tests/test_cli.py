@@ -199,6 +199,13 @@ def test_apply_skew_schur_atom(capsys):
     assert out.strip() == "q^2·(1,1,1,1) + q·(2,1,1) + (q^2 + 1)·(2,2) + q·(3,1) + 1·(4)"
 
 
+@pytest.mark.parametrize("expr", ["e[-1]", "h[-1]", "e[-2] s[1]"])
+def test_apply_negative_degree_is_zero(capsys, expr):
+    code, out, _ = run(capsys, "apply", expr, "--n", "2", "--inner", "2,1")
+    assert code == 0
+    assert out.strip() == "0"
+
+
 def test_apply_bad_expression(capsys):
     code, _, err = run(capsys, "apply", "w[2]", "--n", "2")
     assert code == 2 and "error:" in err

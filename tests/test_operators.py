@@ -163,12 +163,15 @@ def test_B_matches_newton_oracle_on_images():
 
 
 def test_B_raising_fills_no_hook_word_memo():
-    # B_{-k} searches its hook words itself and memoizes only its merged moves
+    # B_{-k} reads the positive hook formula's words, which are not memoized;
+    # it memoizes only its merged moves
     operators._B_moves.cache_clear()
-    positive._hook_words.cache_clear()
     for la in partitions_up_to(4):
         assert apply_B(-3, 2, basis(la))
-    assert positive._hook_words.cache_info().currsize == 0
+    assert operators._B_moves.cache_info().currsize == len(list(partitions_up_to(4)))
+    memos = [name for name, obj in vars(positive).items()
+             if hasattr(obj, "cache_info") and obj.__module__ == positive.__name__]
+    assert memos == []
 
 
 def test_B_zero_rejected():

@@ -116,6 +116,19 @@ def test_formula_agrees_with_jacobi_trudi_operator():
                 assert apply_formula(nu, n, v) == apply_schur(nu, n, v), (nu, la, n)
 
 
+def test_formula_words_come_in_increasing_application_order():
+    # yamanouchi prints the words in this order: their application-order
+    # head tuples strictly increase
+    cases = 0
+    for n in (1, 2, 3):
+        for la in partitions_up_to(6):
+            for nu in SUPPORTED:
+                heads = [tuple(reversed(w)) for w, _, _ in formula_words(nu, la, n)]
+                assert all(a < b for a, b in zip(heads, heads[1:])), (nu, la, n)
+                cases += 1
+    assert cases == 1170
+
+
 def test_formula_words_refuse_unsupported_shapes():
     for nu in ((3, 3), (3, 2, 1), (4, 3)):
         with pytest.raises(UnsupportedShapeError):

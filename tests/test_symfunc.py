@@ -67,6 +67,13 @@ def test_elementary_expansions():
     assert elementary_in_h(3) == {(1, 1, 1): 1, (2, 1): -2, (3,): 1}
 
 
+def test_elementary_of_negative_degree_is_zero():
+    # e_k = 0 for k < 0, as h_k is; e_0 = 1
+    assert elementary_in_h(0) == {(): 1}
+    for k in (-1, -2, -5):
+        assert elementary_in_h(k) == {}
+
+
 def test_newton_power_sums():
     assert power_in_h(1) == {(1,): 1}
     assert power_in_h(2) == {(2,): 2, (1, 1): -1}
@@ -74,7 +81,8 @@ def test_newton_power_sums():
 
 
 def test_kostka_against_filling_enumeration():
-    for m in range(7):
+    # up to degree 9, the degree of the desk-query tables
+    for m in range(10):
         for nu in partitions_of(m):
             for rho in partitions_of(m):
                 assert kostka(nu, rho) == kostka_count(nu, rho), (nu, rho)
