@@ -6,180 +6,16 @@ symmetric functions built from them, ribbon tableau generating functions,
 q-Littlewood-Richardson coefficients by two independent routes, positive
 monomial formulas for hooks and two-row shapes, and exhaustive desk-scale
 verification of the operator identities.
+
+The package namespace holds the quick-start names of README.md; everything
+else is imported from its module (ribbonops.partitions, .operators, .qlr,
+.verify, ...).
 """
 
-from .fock import FockVec, linear_map
-from .partitions import (
-    RibbonSlot,
-    add_ribbon,
-    cells,
-    conjugate,
-    contains,
-    core_and_quotient,
-    diagonal_window,
-    format_partition,
-    from_core_and_quotient,
-    horizontal_strips,
-    is_core,
-    is_partition,
-    parse_partition,
-    partitions_of,
-    partitions_up_to,
-    remove_ribbon,
-    ribbon_slots,
-    subpartitions,
-)
-from .operators import (
-    apply_B,
-    apply_d,
-    apply_diag,
-    apply_diag_sum_from,
-    apply_e,
-    apply_expr,
-    apply_h,
-    apply_h_perp,
-    apply_p,
-    apply_schur,
-    apply_skew_schur,
-    apply_u,
-    apply_word,
-    heisenberg_scalar,
-    parse_expr,
-)
-from .positive import (
-    UnsupportedShapeError,
-    apply_formula,
-    dual_monomials,
-    formula_polynomial,
-    formula_words,
-    hook_monomials,
-    is_n_commuting,
-    monomials_in_window,
-    reading_word,
-    s2_monomials,
-    yamanouchi_tableaux,
-)
-from .qlr import (
-    QLRTable,
-    ScanReport,
-    nonnegativity_scan,
-    qlr_table_via_operators,
-    qlr_via_expansion,
-    qlr_via_operators,
-)
-from .qpoly import QPoly, qbracket
-from .symfunc import (
-    SymFunc,
-    elementary_in_h,
-    h_eval_at_q2,
-    kostka,
-    power_in_h,
-    schur_in_h,
-    skew_schur_in_h,
-    to_monomial_basis,
-    to_schur_basis,
-)
-from .tableaux import (
-    RibbonTableau,
-    enumerate_tableaux,
-    ribbon_function,
-    ribbon_function_schur,
-    strip_heads,
-    weight_poly,
-)
-from .verify import (
-    CHECKERS,
-    DimensionReport,
-    VerificationReport,
-    algebra_dimension,
-    check_cauchy,
-    check_h_commute,
-    check_haction,
-    check_heisenberg,
-    check_relations,
-    run_identity,
-)
+from .fock import FockVec
+from .operators import apply_h, apply_word
+from .qlr import qlr_table_via_operators
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHECKERS",
-    "DimensionReport",
-    "FockVec",
-    "QLRTable",
-    "QPoly",
-    "RibbonSlot",
-    "RibbonTableau",
-    "ScanReport",
-    "SymFunc",
-    "UnsupportedShapeError",
-    "VerificationReport",
-    "add_ribbon",
-    "algebra_dimension",
-    "apply_B",
-    "apply_d",
-    "apply_diag",
-    "apply_diag_sum_from",
-    "apply_e",
-    "apply_expr",
-    "apply_formula",
-    "apply_h",
-    "apply_h_perp",
-    "apply_p",
-    "apply_schur",
-    "apply_skew_schur",
-    "apply_u",
-    "apply_word",
-    "cells",
-    "check_cauchy",
-    "check_h_commute",
-    "check_haction",
-    "check_heisenberg",
-    "check_relations",
-    "conjugate",
-    "contains",
-    "core_and_quotient",
-    "diagonal_window",
-    "dual_monomials",
-    "elementary_in_h",
-    "enumerate_tableaux",
-    "format_partition",
-    "formula_polynomial",
-    "formula_words",
-    "from_core_and_quotient",
-    "h_eval_at_q2",
-    "heisenberg_scalar",
-    "hook_monomials",
-    "horizontal_strips",
-    "is_core",
-    "is_n_commuting",
-    "is_partition",
-    "kostka",
-    "linear_map",
-    "monomials_in_window",
-    "nonnegativity_scan",
-    "parse_expr",
-    "parse_partition",
-    "partitions_of",
-    "partitions_up_to",
-    "power_in_h",
-    "qbracket",
-    "qlr_table_via_operators",
-    "qlr_via_expansion",
-    "qlr_via_operators",
-    "reading_word",
-    "remove_ribbon",
-    "ribbon_function",
-    "ribbon_function_schur",
-    "ribbon_slots",
-    "run_identity",
-    "s2_monomials",
-    "schur_in_h",
-    "skew_schur_in_h",
-    "strip_heads",
-    "subpartitions",
-    "to_monomial_basis",
-    "to_schur_basis",
-    "weight_poly",
-    "yamanouchi_tableaux",
-]
+__all__ = ["FockVec", "apply_h", "apply_word", "qlr_table_via_operators"]

@@ -27,7 +27,7 @@ from .partitions import (
     ribbon_strips,
 )
 from .positive import UnsupportedShapeError, monomials_in_window, yamanouchi_tableaux
-from .qlr import QLRTable, qlr_table_via_operators, qlr_via_expansion, qlr_via_operators
+from .qlr import qlr_table_via_operators, qlr_via_expansion, qlr_via_operators
 from .qpoly import QPoly
 from .tableaux import enumerate_tableaux, ribbon_function
 from .verify import CHECKERS, algebra_dimension, run_identity

@@ -3,13 +3,15 @@
 u_i adds an n-ribbon with head on diagonal i, weighted q^spin; d_i is its
 adjoint.  h_k sums the ascending-head compositions u_{i_k}...u_{i_1}
 (i_1 < ... < i_k), which is exactly "add a horizontal ribbon strip of k
-ribbons"; e_k, p_k and (skew) schur operators are pushed through their
-expansions into products of the commuting h_k.  The Heisenberg generators
-B_{-k} = p_k(u) and B_k = p_k(u)^perp are not: by Murnaghan-Nakayama, p_k is
+ribbons"; e_k and (skew) schur operators are pushed through their
+Jacobi-Trudi expansions into products of the commuting h_k, applied in one
+signed pass.  p_k(u) is the Heisenberg generator B_{-k}, and neither it nor
+B_k = p_k(u)^perp goes through an expansion: by Murnaghan-Nakayama, p_k is
 the alternating sum of the hook schur functions s_{(k-b, 1^b)}, and the
 paper's positive hook formula makes each B_{-k}, and its transpose B_k, one
 pass of signed single-ribbon-word moves.  B_{-k} reads the hook words from
-positive._hook_words; B_k removes the same strips in reverse.
+positive._hook_words; B_k removes the same strips in reverse.  The diagonal
+operators read their weights from ribbon_slots, also in one signed pass.
 
 Words store letters in product order: apply_word((2, 1, 3, 0), n, v)
 computes u_2 u_1 u_3 u_0 . v, so the rightmost letter acts first.
@@ -30,13 +32,8 @@ from .partitions import (
     ribbon_strips,
 )
 from .positive import _hook_words
-from .qpoly import QPoly, qbracket
-from .symfunc import (
-    elementary_in_h,
-    power_in_h,
-    schur_in_h,
-    skew_schur_in_h,
-)
+from .qpoly import qbracket
+from .symfunc import elementary_in_h, schur_in_h, skew_schur_in_h
 
 
 def apply_u(i, n, v):
@@ -84,19 +81,31 @@ def _h_vector(la, n, alpha):
     return apply_h(alpha[0], n, _h_vector(la, n, alpha[1:]))
 
 
-def apply_h_product(alpha, n, v):
-    out = FockVec.zero()
-    for la, coeff in v.terms.items():
-        out = out + _h_vector(la, n, tuple(alpha)) * coeff
-    return out
+def _grouped(tally):
+    """{(mu, spin): c} as signed_map groups ((c, ((mu, spin), ...)), ...), zeros dropped."""
+    groups = {}
+    for key, c in tally.items():
+        if c:
+            groups.setdefault(c, []).append(key)
+    return tuple((c, tuple(pairs)) for c, pairs in groups.items())
 
 
 def apply_expansion(expansion, n, v):
-    """Apply sum_alpha c_alpha h_alpha given {alpha: c_alpha}."""
-    out = FockVec.zero()
-    for alpha, c in expansion.items():
-        out = out + apply_h_product(alpha, n, v) * c
-    return out
+    """Apply sum_alpha c_alpha h_alpha given {alpha: c_alpha}.
+
+    One signed pass: on each basis partition the memoized h_alpha . la are
+    merged into integer moves before anything is scaled.
+    """
+
+    def moves(la):
+        tally = {}
+        for alpha, c in expansion.items():
+            for mu, p in _h_vector(la, n, alpha).terms.items():
+                for e, x in p.coeffs.items():
+                    tally[mu, e] = tally.get((mu, e), 0) + c * x
+        return _grouped(tally)
+
+    return signed_map(v, moves)
 
 
 def apply_e(k, n, v):
@@ -104,7 +113,10 @@ def apply_e(k, n, v):
 
 
 def apply_p(k, n, v):
-    return apply_expansion(power_in_h(k), n, v)
+    """p_k(u) is the Heisenberg generator B_{-k}."""
+    if k < 1:
+        raise ValueError("power sum index must be >= 1")
+    return apply_B(-k, n, v)
 
 
 def apply_schur(nu, n, v):
@@ -138,11 +150,7 @@ def _B_moves(la, n, k):
                     for mu, leg_spin, _ in ribbon_strips(mid, n, b, remove=True, after=arm[-1]))
         for key in hits:
             tally[key] = tally.get(key, 0) + sign
-    groups = {}
-    for key, c in tally.items():
-        if c:
-            groups.setdefault(c, []).append(key)
-    return tuple((c, tuple(pairs)) for c, pairs in groups.items())
+    return _grouped(tally)
 
 
 def apply_B(k, n, v):
@@ -156,42 +164,36 @@ def apply_B(k, n, v):
     return signed_map(v, lambda la: _B_moves(la, n, k))
 
 
-def _diag_weight(la, i, j, n):
-    """Coefficient of (u_i d_i)^j - (d_i u_i)^j on la: -q^(2 j spin) on an
-    i-addable partition, +q^(2 j spin) on an i-removable one, else 0."""
-    hit = add_ribbon(la, i, n)
-    if hit is not None:
-        return QPoly.q_power(2 * j * hit[1], -1)
-    hit = remove_ribbon(la, i, n)
-    if hit is not None:
-        return QPoly.q_power(2 * j * hit[1])
-    return QPoly.zero()
+def _diag_moves(la, n, j, keep):
+    """Signed moves of (u_i d_i)^j - (d_i u_i)^j on la, summed over the slots
+    whose head diagonal i passes keep(i): -q^(2 j spin) for an addable
+    ribbon, +q^(2 j spin) for a removable one."""
+    return [(-1 if s.kind == "add" else 1, ((la, 2 * j * s.spin),))
+            for s in ribbon_slots(la, n) if keep(s.diagonal)]
 
 
 def apply_diag(i, j, n, v):
-    out = FockVec.zero()
-    for la, coeff in v.terms.items():
-        w = _diag_weight(la, i, j, n)
-        if w:
-            out = out + FockVec.basis(la, coeff * w)
-    return out
+    return signed_map(v, lambda la: _diag_moves(la, n, j, lambda d: d == i))
 
 
 def apply_diag_sum_from(i, j, n, v):
     """Sum over k >= i of the diagonal operators, slotwise finite."""
-    out = FockVec.zero()
-    for la, coeff in v.terms.items():
-        total = QPoly.zero()
-        for s in ribbon_slots(la, n):
-            if s.diagonal >= i:
-                sign = -1 if s.kind == "add" else 1
-                total = total + QPoly.q_power(2 * j * s.spin, sign)
-        if total:
-            out = out + FockVec.basis(la, coeff * total)
-    return out
+    return signed_map(v, lambda la: _diag_moves(la, n, j, lambda d: d >= i))
 
 
 _ATOM = re.compile(r"([A-Za-z]+)\[([-0-9,/\s]*)\]")
+
+_ATOMS = {
+    "u": apply_u,
+    "d": apply_d,
+    "h": apply_h,
+    "hperp": apply_h_perp,
+    "e": apply_e,
+    "p": apply_p,
+    "B": apply_B,
+    "s": apply_schur,
+    "sskew": lambda arg, n, v: apply_skew_schur(*arg, n, v),
+}
 
 
 def parse_expr(text):
@@ -206,12 +208,9 @@ def parse_expr(text):
         if text[pos : m.start()].strip():
             raise ValueError(f"cannot parse operator expression near {text[pos:m.start()]!r}")
         name, arg = m.group(1), m.group(2).strip()
-        if name in ("u", "d", "h", "hperp", "e", "p", "B"):
-            try:
-                atoms.append((name, int(arg)))
-            except ValueError:
-                raise ValueError(f"{name}[] wants one integer, got {arg!r}") from None
-        elif name == "s":
+        if name not in _ATOMS:
+            raise ValueError(f"unknown operator {name!r}")
+        if name == "s":
             atoms.append(("s", parse_partition(arg)))
         elif name == "sskew":
             outer, slash, inner = arg.partition("/")
@@ -219,7 +218,10 @@ def parse_expr(text):
                 raise ValueError(f"sskew[] wants outer/inner, got {arg!r}")
             atoms.append(("sskew", (parse_partition(outer), parse_partition(inner))))
         else:
-            raise ValueError(f"unknown operator {name!r}")
+            try:
+                atoms.append((name, int(arg)))
+            except ValueError:
+                raise ValueError(f"{name}[] wants one integer, got {arg!r}") from None
         pos = m.end()
     if text[pos:].strip():
         raise ValueError(f"cannot parse operator expression near {text[pos:]!r}")
@@ -230,25 +232,7 @@ def parse_expr(text):
 
 def apply_atom(atom, n, v):
     name, arg = atom
-    if name == "u":
-        return apply_u(arg, n, v)
-    if name == "d":
-        return apply_d(arg, n, v)
-    if name == "h":
-        return apply_h(arg, n, v)
-    if name == "hperp":
-        return apply_h_perp(arg, n, v)
-    if name == "e":
-        return apply_e(arg, n, v)
-    if name == "p":
-        return apply_p(arg, n, v)
-    if name == "B":
-        return apply_B(arg, n, v)
-    if name == "s":
-        return apply_schur(arg, n, v)
-    if name == "sskew":
-        return apply_skew_schur(*arg, n, v)
-    raise ValueError(f"unknown operator {name!r}")
+    return _ATOMS[name](arg, n, v)
 
 
 def apply_expr(atoms, n, v):

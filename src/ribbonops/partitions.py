@@ -188,25 +188,25 @@ def ribbon_strips(la, n, k, sign=1, remove=False, after=None):
     The head diagonals strictly increase in sign * diagonal along the way,
     starting past `after` when it is given (a run that continues an earlier
     one); the total spin is the sum of the ribbon spins.  Results come in
-    lexicographic order of the head tuples.  Not memoized: callers that need
-    no heads use horizontal_strips.
+    lexicographic order of the head tuples.  The strips grow one ribbon per
+    level, without recursion, so k is not bounded by the recursion limit.
+    Not memoized: callers that need no heads use horizontal_strips.
     """
     if k < 0:
         raise ValueError(f"a strip needs k >= 0 ribbons, got {k}")
     kind, move = ("remove", remove_ribbon) if remove else ("add", add_ribbon)
-    out = []
-
-    def rec(cur, left, spin, heads, last):
-        if left == 0:
-            out.append((cur, spin, heads))
-            return
-        for s in ribbon_slots(cur, n):
-            if s.kind == kind and (last is None or sign * s.diagonal > sign * last):
-                nxt, sp = move(cur, s.diagonal, n)
-                rec(nxt, left - 1, spin + sp, heads + (s.diagonal,), s.diagonal)
-
-    rec(la, k, 0, (), after)
-    return out
+    level = [(la, 0, ())]
+    for _ in range(k):
+        # extending a lexicographic list head by head keeps it lexicographic
+        grown = []
+        for cur, spin, heads in level:
+            last = heads[-1] if heads else after
+            for s in ribbon_slots(cur, n):
+                if s.kind == kind and (last is None or sign * s.diagonal > sign * last):
+                    nxt, sp = move(cur, s.diagonal, n)
+                    grown.append((nxt, spin + sp, heads + (s.diagonal,)))
+        level = grown
+    return level
 
 
 @cache

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .fock import FockVec, linear_map
+from .fock import linear_map
 from .partitions import add_ribbon, conjugate, ribbon_strips
 from .qpoly import QPoly
 from .tableaux import RibbonTableau

@@ -16,9 +16,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .fock import FockVec
 from .operators import _h_vector
-from .partitions import contains, partitions_of, partitions_up_to, subpartitions
+from .partitions import partitions_of, partitions_up_to, subpartitions
 from .qpoly import QPoly
 from .symfunc import schur_in_h
 from .tableaux import ribbon_function_schur

@@ -41,9 +41,6 @@ class QPoly:
         """[[exponent, coefficient], ...] sorted by exponent."""
         return [[e, self.coeffs[e]] for e in sorted(self.coeffs)]
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -111,23 +108,11 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out = QPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def shifted(self, e):
         """Multiply by q^e without a general product."""
         if not e:
             return self
         return QPoly({k + e: c for k, c in self.coeffs.items()})
-
-    def degree(self):
-        """Largest exponent; -1 on the zero polynomial (matching list length conventions)."""
-        return max(self.coeffs, default=-1)
 
     def evaluate(self, x):
         """Value at x, exact when x is an int or Fraction."""

@@ -1,9 +1,11 @@
 """Symmetric function bookkeeping over Z.
 
-Everything here is classical combinatorics of symmetric functions: schur,
-power and elementary sums expanded into products of complete homogeneous
-functions (so they can be pushed through any algebra where the h_k commute),
-Kostka numbers, and the unitriangular monomial -> Schur basis change.
+Everything here is classical combinatorics of symmetric functions: skew
+schur and elementary functions expanded by Jacobi-Trudi into products of
+complete homogeneous functions (so they can be pushed through any algebra
+where the h_k commute), Kostka numbers, the unitriangular monomial -> Schur
+basis change, and h_i at (1, q^2, ..., q^(2(n-1))).  Power sums are not
+here: p_k(u) is the Heisenberg generator operators.apply_B.
 h-products are recorded as dicts {sorted tuple of parts: int coefficient}.
 Kostka numbers count the n = 1 strips of partitions.horizontal_strips, so
 there is no strip search here; within the package only the expansion route
@@ -16,31 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .partitions import horizontal_strips, partitions_of
-from .qpoly import QPoly, qbracket
-
-
-def _hmul(f, g):
-    out = {}
-    for a, ca in f.items():
-        for b, cb in g.items():
-            key = tuple(sorted(a + b, reverse=True))
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            else:
-                del out[key]
-    return out
-
-
-def _hadd(f, g, scale=1):
-    out = dict(f)
-    for a, c in g.items():
-        nc = out.get(a, 0) + scale * c
-        if nc:
-            out[a] = nc
-        else:
-            del out[a]
-    return out
+from .qpoly import QPoly
 
 
 @cache
@@ -90,17 +68,6 @@ def schur_in_h(nu):
 def elementary_in_h(k):
     """e_k = s_(1^k); e_k = 0 for k < 0."""
     return schur_in_h((1,) * k) if k >= 0 else {}
-
-
-@cache
-def power_in_h(k):
-    """Newton's identity: p_k = k h_k - sum_{i<k} p_i h_{k-i}."""
-    if k < 1:
-        raise ValueError("power sum index must be >= 1")
-    out = {(k,): k}
-    for i in range(1, k):
-        out = _hadd(out, _hmul(power_in_h(i), {(k - i,): 1}), scale=-1)
-    return out
 
 
 @cache
@@ -191,7 +158,3 @@ def h_eval_at_q2(i, n):
     # h over one more variable: h_i(x_1..x_n) = h_i(x_1..x_{n-1}) + x_n h_{i-1}(x_1..x_n)
     return h_eval_at_q2(i, n - 1) + h_eval_at_q2(i - 1, n).shifted(2 * (n - 1))
 
-
-def p_eval_at_q2(k, n):
-    """p_k(1, q^2, ..., q^(2(n-1))) = 1 + q^(2k) + ... + q^(2k(n-1))."""
-    return qbracket(n, 2 * k)

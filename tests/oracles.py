@@ -4,18 +4,19 @@ Most of what is here works at the level of explicit cell sets and explicit
 fillings, with none of the edge-sequence machinery the library uses, so an
 agreement test actually compares two different computations.  The rest are
 the library's earlier algorithms, kept as oracles for their replacements:
-the Jacobi-Trudi determinant by permutations, the Heisenberg generators
-by Newton's identity and the rank over Q(q) by Bareiss elimination.
+the Jacobi-Trudi determinant by permutations, the power sums and the
+Heisenberg generators by Newton's identity and the rank over Q(q) by
+Bareiss elimination.
 """
 
 from collections import deque
+from functools import cache
 from itertools import permutations
 
 from ribbonops.fock import FockVec
 from ribbonops.operators import apply_expansion, apply_h_perp
 from ribbonops.partitions import cells, contains, partitions_of
 from ribbonops.qpoly import QPoly
-from ribbonops.symfunc import power_in_h
 
 
 def is_ribbon(cellset):
@@ -181,6 +182,43 @@ def jacobi_trudi_by_permutations(outer, inner=()):
             out[key] = c
         else:
             del out[key]
+    return out
+
+
+def _hmul(f, g):
+    """Product of h-expansions {sorted tuple of parts: int coefficient}."""
+    out = {}
+    for a, ca in f.items():
+        for b, cb in g.items():
+            key = tuple(sorted(a + b, reverse=True))
+            c = out.get(key, 0) + ca * cb
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
+
+
+def _hadd(f, g, scale=1):
+    """f + scale * g on h-expansions."""
+    out = dict(f)
+    for a, c in g.items():
+        nc = out.get(a, 0) + scale * c
+        if nc:
+            out[a] = nc
+        else:
+            del out[a]
+    return out
+
+
+@cache
+def power_in_h(k):
+    """Newton's identity: p_k = k h_k - sum_{i<k} p_i h_{k-i}."""
+    if k < 1:
+        raise ValueError("power sum index must be >= 1")
+    out = {(k,): k}
+    for i in range(1, k):
+        out = _hadd(out, _hmul(power_in_h(i), {(k - i,): 1}), scale=-1)
     return out
 
 

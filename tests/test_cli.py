@@ -1,9 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ribbonops.cli import main
-from ribbonops.partitions import format_partition, horizontal_strips
+from ribbonops.partitions import format_partition, horizontal_strips, partitions_up_to
 from ribbonops.tableaux import strip_heads
 
 
@@ -206,6 +209,16 @@ def test_apply_negative_degree_is_zero(capsys, expr):
     assert out.strip() == "0"
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("apply", "h[1100]", "--n", "1"), "1·(1100)"),
+    (("strips", "--n", "1", "--weight", "1100"), "1100  spin 0"),
+    (("strips", "--n", "2", "--weight", "1100", "--inner", "2200", "--remove"), "-  spin 0"),
+])
+def test_strips_longer_than_the_recursion_limit(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, want + "\n", "")
+
+
 def test_apply_bad_expression(capsys):
     code, _, err = run(capsys, "apply", "w[2]", "--n", "2")
     assert code == 2 and "error:" in err
@@ -351,3 +364,72 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["qlr", "--n", "3", "--outer", "not-a-partition"])
     assert exc.value.code == 2
+
+
+# Small CLI arguments, malformed ones included, for every verb.
+_SHAPES = [format_partition(la) for la in partitions_up_to(4)] * 2 + ["", "2,3", "a", "1,,1", "0"]
+_shape = st.sampled_from(_SHAPES)
+_composition = st.sampled_from(["-", "1", "2", "1,1", "0,1", "2,1", "1,0,1", "-1", "x"])
+_window = st.one_of(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda w: "%d:%d" % w),
+                    st.sampled_from(["1:", "x:1", "1:2:3"]))
+_atom = st.one_of(
+    st.builds("{}[{}]".format, st.sampled_from(["u", "d", "h", "hperp", "e", "p", "B"]),
+              st.integers(-3, 3)),
+    st.builds("s[{}]".format, _shape),
+    st.builds("sskew[{}/{}]".format, _shape, _shape),
+)
+_bad_atom = st.sampled_from(["x[1]", "u[a]", "sskew[2,1]", "u[1", "]"])
+# one atom in four is malformed, so most expressions parse
+_expr = st.lists(st.one_of(_atom, _atom, _atom, _bad_atom), max_size=3).map(" ".join)
+
+
+def _flag(flag, values):
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), _flag(flag, values))
+
+
+def _verb(name, *parts):
+    return st.tuples(*parts).map(lambda bits: [name] + [x for bit in bits for x in bit])
+
+
+_n = st.integers(-1, 3).map(lambda n: ["--n", str(n)])
+_format = _flag("--format", st.sampled_from(["text", "json"]))
+_latex = _flag("--format", st.sampled_from(["text", "json", "latex"]))
+_argv = st.one_of(
+    _verb("qlr", _n, _flag("--outer", _shape), _opt("--inner", _shape), _opt("--nu", _shape),
+          _latex),
+    _verb("ribbonfn", _n, _flag("--outer", _shape), _opt("--inner", _shape),
+          _opt("--basis", st.sampled_from(["schur", "monomial"])), _latex),
+    _verb("tableaux", _n, _flag("--outer", _shape), _opt("--inner", _shape),
+          _flag("--weight", _composition), _format),
+    _verb("strips", _n, _opt("--inner", _shape), _flag("--weight", st.integers(-1, 4)),
+          st.sampled_from([[], ["--remove"]]), _opt("--window", _window), _format),
+    _verb("quotient", _n, _shape.map(lambda s: [s]), _format),
+    _verb("apply", _n, _expr.map(lambda e: [e]), _opt("--inner", _shape), _format),
+    _verb("monomials", _n, _flag("--nu", _shape), _flag("--window", _window), _format),
+    _verb("yamanouchi", _n, _flag("--outer", _shape), _opt("--inner", _shape),
+          _flag("--nu", _shape), _format),
+    _verb("verify", _n,
+          _flag("--identity", st.sampled_from(["relations", "cauchy", "heisenberg", "haction",
+                                               "hcommute", "dimension", "all"])),
+          _flag("--max-size", st.integers(-1, 4)), _opt("--k", st.integers(-1, 3)),
+          _opt("--blocks", _composition), _opt("--seed", st.integers(0, 3)), _format),
+    _verb("dim", _n, _flag("--max-size", st.integers(-1, 4)), _opt("--k", st.integers(-1, 3)),
+          _opt("--blocks", _composition), _format),
+)
+
+
+@given(_argv)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,11 +1,13 @@
-"""Every `$ ribbonops ...` example in README.md, run through the CLI.
+"""Every example in README.md: the `$ ribbonops ...` commands through the CLI
+and the `>>>` Python quick start as a doctest.
 
-An example's expected output is the lines below it, up to the next example
+A command's expected output is the lines below it, up to the next example
 or the closing fence.  Timings such as "(0.08s)" are masked on both sides.
 An expected output that starts with "error:" is compared with stderr, and
 the example must exit 2; any other is compared with stdout and must exit 0.
 """
 
+import doctest
 import re
 import shlex
 from pathlib import Path
@@ -56,3 +58,12 @@ def test_readme_example(capsys, command, want):
     else:
         assert (code, captured.err) == (0, "")
         assert _mask(captured.out) == _mask(expected)
+
+
+def test_python_quick_start():
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "quick start", str(README), 0)
+    report = []
+    result = doctest.DocTestRunner().run(test, out=report.append)
+    assert result.attempted == 7
+    assert result.failed == 0, "".join(report)

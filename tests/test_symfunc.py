@@ -1,22 +1,18 @@
 from itertools import combinations_with_replacement
 
 from ribbonops.partitions import partitions_of, partitions_up_to, subpartitions
-from ribbonops.qpoly import QPoly, qbracket
+from ribbonops.qpoly import QPoly
 from ribbonops.symfunc import (
     SymFunc,
-    _hadd,
-    _hmul,
     elementary_in_h,
     h_eval_at_q2,
     kostka,
-    p_eval_at_q2,
-    power_in_h,
     schur_in_h,
     skew_schur_in_h,
     to_monomial_basis,
     to_schur_basis,
 )
-from oracles import jacobi_trudi_by_permutations, kostka_count
+from oracles import _hadd, _hmul, jacobi_trudi_by_permutations, kostka_count, power_in_h
 
 
 def test_schur_in_h_small_cases():
@@ -139,9 +135,3 @@ def test_h_eval_at_q2_matches_direct_expansion():
                     term = term * f
                 direct = direct + term
             assert h_eval_at_q2(i, n) == direct, (i, n)
-
-
-def test_p_eval_is_a_q_integer():
-    assert p_eval_at_q2(1, 3) == qbracket(3, 2)
-    assert p_eval_at_q2(2, 2) == QPoly({0: 1, 4: 1})
-    assert p_eval_at_q2(3, 1) == QPoly.one()
