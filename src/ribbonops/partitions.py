@@ -11,6 +11,7 @@ the ribbon minus one) counts the members of S strictly between i-n and i.
 from __future__ import annotations
 
 from functools import cache
+from operator import le
 from typing import NamedTuple
 
 
@@ -54,7 +55,7 @@ def conjugate(la):
 
 def contains(la, mu):
     """Cellwise containment mu subseteq la."""
-    return len(mu) <= len(la) and all(m <= l for m, l in zip(mu, la))
+    return len(mu) <= len(la) and all(map(le, mu, la))
 
 
 def cells(la):

@@ -127,15 +127,18 @@ def _hook_words(la, a, b, n):
 def _s2_words(la, s, n, sign):
     """(product word, mu, spin) for (s,2)-formula words acting nonzero on la.
 
-    The lower row (c, d) goes on as a 2-strip, then the top row as an s-strip;
-    _s2_ok, in the sign-adjusted order, is the same rule s2_monomials uses.
+    The lower row (c, d) goes on as a 2-strip, then the top row: its first
+    two heads as a 2-strip, kept only if _s2_ok passes (in the sign-adjusted
+    order, the same rule s2_monomials uses), then its other s - 2 heads.
     Not memoized, as _hook_words.
     """
     out = []
     for mid, low_spin, (c, d) in ribbon_strips(la, n, 2, sign):
-        for mu, spin, row in ribbon_strips(mid, n, s, sign):
-            if _s2_ok(sign * row[0], sign * row[1], sign * c, sign * d, n):
-                out.append((tuple(reversed((c, d) + row)), mu, low_spin + spin))
+        for top, top_spin, (x1, x2) in ribbon_strips(mid, n, 2, sign):
+            if _s2_ok(sign * x1, sign * x2, sign * c, sign * d, n):
+                for mu, spin, rest in ribbon_strips(top, n, s - 2, sign, after=x2):
+                    word = tuple(reversed((c, d, x1, x2) + rest))
+                    out.append((word, mu, low_spin + top_spin + spin))
     return tuple(out)
 
 

@@ -8,7 +8,9 @@ share the single-ribbon kernel and the horizontal strip search
 cell-level tiling; the expansion route also counts its Kostka numbers with
 the n = 1 strips.  Everything above that differs (Jacobi-Trudi determinant
 signs vs tableau enumeration plus Kostka inversion), which is what makes
-their agreement a real check.
+their agreement a real check.  The operator route reads each pairing
+<h_alpha . inner, outer> once per table and sums every nu's Jacobi-Trudi
+terms from those reads.
 """
 
 from __future__ import annotations
@@ -31,12 +33,29 @@ def qlr_via_operators(nu, outer, inner, n):
             f"skew size {sum(outer) - sum(inner)} != {n}*|{nu}|; pairing is identically zero",
             stacklevel=2)
         return QPoly.zero()
-    total = QPoly.zero()
-    for alpha, c in schur_in_h(nu).items():
-        hit = _h_vector(inner, n, alpha).coefficient(outer)
+    return _pairings(outer, inner, n, (nu,), schur_in_h(nu)).get(nu, QPoly.zero())
+
+
+def _pairings(outer, inner, n, nus, alphas):
+    """{nu: <s_nu(u) . inner, outer>} over nus, zeros omitted, on raw {exponent: int} dicts.
+
+    Each <h_alpha . inner, outer> is read once; alphas must cover the h-terms of every nu.
+    """
+    hits = {}
+    for alpha in alphas:
+        hit = _h_vector(inner, n, alpha).terms.get(outer)
         if hit:
-            total = total + hit * c
-    return total
+            hits[alpha] = hit.coeffs
+    out = {}
+    for nu in nus if hits else ():
+        acc = {}
+        for alpha, c in schur_in_h(nu).items():
+            for e, x in hits.get(alpha, {}).items():
+                acc[e] = acc.get(e, 0) + c * x
+        total = QPoly(acc)
+        if total:
+            out[nu] = total
+    return out
 
 
 @dataclass
@@ -49,8 +68,8 @@ class QLRTable:
     entries: dict = field(default_factory=dict)  # {nu: QPoly}, dense over nu of degree m
 
     def __post_init__(self):
-        for nu in partitions_of(self.degree):
-            self.entries.setdefault(nu, QPoly.zero())
+        given = self.entries  # rebuilt dense in partitions_of order; other keys are dropped
+        self.entries = {nu: given.get(nu) or QPoly() for nu in partitions_of(self.degree)}
 
     @property
     def degree(self):
@@ -121,12 +140,8 @@ def qlr_table_via_operators(outer, inner, n):
     size = sum(outer) - sum(inner)
     if size % n:
         raise ValueError(f"skew size {size} is not a multiple of {n}")
-    entries = {}
-    for nu in partitions_of(size // n):
-        c = qlr_via_operators(nu, outer, inner, n)
-        if c:
-            entries[nu] = c
-    return QLRTable(tuple(outer), tuple(inner), n, entries)
+    nus = partitions_of(size // n)
+    return QLRTable(tuple(outer), tuple(inner), n, _pairings(outer, inner, n, nus, nus))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 class QPoly:
     def __init__(self, coeffs=None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
+        self.coeffs = {e: c for e, c in coeffs.items() if c} if coeffs else {}
 
     @classmethod
     def zero(cls):

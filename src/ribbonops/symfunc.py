@@ -119,17 +119,19 @@ def to_schur_basis(f):
 
     partitions_of runs in reverse-lex order, a linear extension of dominance,
     and K(nu, rho) != 0 only when nu dominates rho, so plain forward
-    substitution is exact over Z.
+    substitution is exact over Z, run on raw {exponent: int} dicts.
     """
     if f.basis == "s":
         return f
     out = {}
     for nu in partitions_of(f.degree):
-        c = f.coefficient(nu)
+        acc = dict(f.coeffs[nu].coeffs) if nu in f.coeffs else {}
         for mu, cm in out.items():
             k = kostka(mu, nu)
             if k:
-                c = c - cm * k
+                for e, x in cm.coeffs.items():
+                    acc[e] = acc.get(e, 0) - k * x
+        c = QPoly(acc)
         if c:
             out[nu] = c
     return SymFunc("s", f.degree, out)

@@ -119,14 +119,13 @@ def weight_poly(outer, inner, n, weight):
     """Sum of q^spin over ribbon tableaux of shape outer/inner and given weight."""
     if not weight:
         return QPoly.one() if outer == inner else QPoly.zero()
-    acc = QPoly.zero()
+    acc = {}
+    rest = weight[1:]
     for la, sp in horizontal_strips(inner, n, weight[0]):
-        if not contains(outer, la):
-            continue
-        contribution = weight_poly(outer, la, n, weight[1:])
-        if contribution:
-            acc = acc + contribution.shifted(sp)
-    return acc
+        if contains(outer, la):
+            for e, x in weight_poly(outer, la, n, rest).coeffs.items():
+                acc[e + sp] = acc.get(e + sp, 0) + x
+    return QPoly(acc)
 
 
 def ribbon_function(outer, inner, n):

@@ -154,7 +154,7 @@ def test_criterion_06_heisenberg_commutators():
 
 
 def test_criterion_07_route_cross_validation():
-    budget = 600.0
+    budget = 30.0
     _fresh_caches()
     t0 = time.monotonic()
     mismatches = []

@@ -4,9 +4,10 @@ import pytest
 
 from ribbonops.fock import FockVec
 from ribbonops.operators import apply_schur, apply_word
-from ribbonops.partitions import diagonal_window, partitions_up_to
+from ribbonops.partitions import diagonal_window, partitions_up_to, ribbon_strips
 from ribbonops.positive import (
     UnsupportedShapeError,
+    _s2_ok,
     apply_formula,
     dual_monomials,
     formula_polynomial,
@@ -127,6 +128,30 @@ def test_formula_words_come_in_increasing_application_order():
                 assert all(a < b for a, b in zip(heads, heads[1:])), (nu, la, n)
                 cases += 1
     assert cases == 1170
+
+
+def _s2_words_filtered_after(la, s, n, sign):
+    """(s,2) words built from every top-row s-strip, then filtered by _s2_ok."""
+    out = []
+    for mid, low_spin, (c, d) in ribbon_strips(la, n, 2, sign):
+        for mu, spin, row in ribbon_strips(mid, n, s, sign):
+            if _s2_ok(sign * row[0], sign * row[1], sign * c, sign * d, n):
+                out.append((tuple(reversed((c, d) + row)), mu, low_spin + spin))
+    return tuple(out)
+
+
+def test_s2_words_pruned_early_match_the_filter_after_search():
+    # (nu, s, sign): the (s,2) shapes up to (5,2) and their conjugates
+    family = [((2, 2), 2, 1), ((3, 2), 3, 1), ((4, 2), 4, 1), ((5, 2), 5, 1),
+              ((2, 2, 1), 3, -1), ((2, 2, 1, 1), 4, -1), ((2, 2, 1, 1, 1), 5, -1)]
+    words = 0
+    for n in (2, 3):
+        for la in partitions_up_to(7):
+            for nu, s, sign in family:
+                got = formula_words(nu, la, n)
+                assert got == _s2_words_filtered_after(la, s, n, sign), (nu, la, n)
+                words += len(got)
+    assert words == 89955
 
 
 def test_formula_words_refuse_unsupported_shapes():

@@ -1,6 +1,6 @@
 import pytest
 
-from ribbonops.partitions import partitions_of, partitions_up_to, subpartitions
+from ribbonops.partitions import core_and_quotient, partitions_of, partitions_up_to, subpartitions
 from ribbonops.qlr import (
     QLRTable,
     nonnegativity_scan,
@@ -33,6 +33,77 @@ def test_both_routes_agree_on_a_grid():
                 a = qlr_table_via_operators(outer, inner, n)
                 b = qlr_via_expansion(outer, inner, n)
                 assert a.entries == b.entries, (outer, inner, n)
+
+
+def _skew_shapes(max_size, ns=(2, 3)):
+    """(outer, inner, n) with |outer| <= max_size and n dividing the skew size."""
+    for n in ns:
+        for outer in partitions_up_to(max_size):
+            for inner in subpartitions(outer):
+                if (sum(outer) - sum(inner)) % n == 0:
+                    yield outer, inner, n
+
+
+def _stacked(outers, inners):
+    """One skew shape O/I holding each outers[j]/inners[j], every block north-east of the next."""
+    big, small = [], []
+    offset = sum(la[0] for la in outers if la)
+    for la, mu in zip(outers, inners):
+        if not la:
+            continue
+        offset -= la[0]
+        big += [offset + p for p in la]
+        small += [offset + p for p in mu + (0,) * (len(la) - len(mu))]
+    while small and not small[-1]:
+        small.pop()
+    return tuple(big), tuple(small)
+
+
+def test_tables_at_q1_count_littlewood_richardson_fillings_of_the_quotient():
+    # c^nu(1) = <prod_j s_{la^(j)/mu^(j)}, s_nu> when la and mu share their
+    # n-core and each quotient component of mu lies in la's, else 0; the
+    # product is the skew schur function of the stacked quotient shapes.
+    # Only core_and_quotient comes from the library: no symmetric functions.
+    checked = nonzero = 0
+    for outer, inner, n in _skew_shapes(11):
+        core, quotient, _ = core_and_quotient(outer, n)
+        inner_core, inner_quotient, _ = core_and_quotient(inner, n)
+        tileable = core == inner_core and all(
+            len(mu) <= len(la) and all(m <= l for m, l in zip(mu, la))
+            for la, mu in zip(quotient, inner_quotient))
+        big, small = _stacked(quotient, inner_quotient) if tileable else ((), ())
+        tables = (qlr_table_via_operators(outer, inner, n), qlr_via_expansion(outer, inner, n))
+        for nu in partitions_of(tables[0].degree):
+            want = lr_coefficient(nu, big, small) if tileable else 0
+            for table in tables:
+                assert sum(table.entries[nu].coeffs.values()) == want, (outer, inner, n, nu)
+            checked += 1
+            nonzero += want != 0
+    assert checked == 8814 and nonzero == 3010
+
+
+def test_single_coefficient_equals_the_table_entry():
+    for outer, inner, n in _skew_shapes(9):
+        table = qlr_table_via_operators(outer, inner, n)
+        for nu in partitions_of(table.degree):
+            single = qlr_via_operators(nu, outer, inner, n)
+            assert single == table.entries[nu], (outer, inner, nu, n)
+
+
+def test_tables_hold_no_explicit_zero_coefficient():
+    for outer, inner, n in _skew_shapes(10):
+        tables = (qlr_table_via_operators(outer, inner, n), qlr_via_expansion(outer, inner, n))
+        for table in tables:
+            for poly in table.entries.values():
+                assert all(poly.coeffs.values()), (outer, inner, n, poly)
+
+
+def test_table_without_an_h_hit_lists_every_nu_as_zero():
+    # (3,2,1) is its own 2-core and () has the empty one: no ribbon tableau
+    for table in (qlr_table_via_operators((3, 2, 1), (), 2), qlr_via_expansion((3, 2, 1), (), 2)):
+        assert list(table.entries) == list(partitions_of(3))
+        assert not any(table.entries.values())
+        assert [e["coeffs"] for e in table.to_json()["entries"]] == [[], [], []]
 
 
 def test_single_coefficient_route_agreement():

@@ -117,6 +117,17 @@ def test_known_monomial_to_schur():
     assert g.coefficient((1, 1, 1)) == QPoly.one()
 
 
+def test_schur_coefficient_that_cancels_is_dropped():
+    # m_2 + m_11 = s_2: the s_11 row cancels to exactly 0 and is not kept
+    one_q = QPoly({0: 1, 1: 1})
+    f = to_schur_basis(SymFunc("m", 2, {(2,): one_q, (1, 1): one_q}))
+    assert f.coeffs == {(2,): one_q}
+    # a row that cancels termwise keeps only its surviving exponents
+    g = to_schur_basis(SymFunc("m", 2, {(2,): one_q, (1, 1): QPoly({0: 1, 1: 1, 2: 1})}))
+    assert g.coeffs == {(2,): one_q, (1, 1): QPoly({2: 1})}
+    assert g.coeffs[(1, 1)].coeffs == {2: 1}
+
+
 def test_symfunc_rejects_unknown_basis():
     import pytest
 
