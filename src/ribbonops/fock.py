@@ -28,9 +28,6 @@ class FockVec:
             v.terms = {}
         return v
 
-    def coefficient(self, la):
-        return self.terms.get(la, QPoly.zero())
-
     def support(self):
         """Basis partitions with nonzero coefficient, smallest and widest first."""
         return sorted(self.terms, key=lambda la: (sum(la), la))

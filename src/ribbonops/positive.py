@@ -18,7 +18,6 @@ from itertools import combinations
 
 from .fock import linear_map
 from .partitions import add_ribbon, conjugate, ribbon_strips
-from .qpoly import QPoly
 from .tableaux import RibbonTableau
 
 
@@ -240,12 +239,3 @@ def yamanouchi_tableaux(nu, outer, inner, n):
         assert cur == tuple(outer) and total == spin
         found.append(RibbonTableau(tuple(outer), tuple(inner), n, tuple(chain), spin))
     return found
-
-
-def formula_polynomial(nu, outer, inner, n):
-    """Sum of q^spin over the formula's words from inner to outer."""
-    total = QPoly.zero()
-    for _, mu, spin in formula_words(nu, inner, n):
-        if mu == tuple(outer):
-            total = total + QPoly.q_power(spin)
-    return total

@@ -5,12 +5,15 @@ schur operators, <s_nu(u) . inner, outer>, and the coefficient of s_nu in
 the Schur expansion of the ribbon spin generating function.  The routes
 share the single-ribbon kernel and the horizontal strip search
 (partitions.horizontal_strips), which tests/oracles.py checks against a
-cell-level tiling; the expansion route also counts its Kostka numbers with
+cell-level tiling: the operator route adds strips to inner, the expansion
+route removes them from outer, and it also counts its Kostka numbers with
 the n = 1 strips.  Everything above that differs (Jacobi-Trudi determinant
-signs vs tableau enumeration plus Kostka inversion), which is what makes
-their agreement a real check.  The operator route reads each pairing
+signs vs tableau chains plus Kostka inversion), which is what makes their
+agreement a real check.  The operator route reads each pairing
 <h_alpha . inner, outer> once per table and sums every nu's Jacobi-Trudi
-terms from those reads.
+terms from those reads; the expansion route reads one chain table per
+outer shape and weight, shared by every inner shape and every smaller
+outer shape.
 """
 
 from __future__ import annotations
@@ -91,8 +94,6 @@ class QLRTable:
         }
 
     def text(self):
-        if not self.entries:
-            return "0"
         bits = []
         for nu in partitions_of(self.degree):
             c = self.entries.get(nu)
@@ -103,7 +104,7 @@ class QLRTable:
                 body = f"({body})"
             name = ",".join(map(str, nu))
             bits.append(f"s[{name}]" if body == "1" else f"{body} s[{name}]")
-        return " + ".join(bits)
+        return " + ".join(bits) or "0"
 
     def latex(self):
         """Group the expansion by powers of q, smallest exponent first."""

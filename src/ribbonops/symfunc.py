@@ -137,19 +137,6 @@ def to_schur_basis(f):
     return SymFunc("s", f.degree, out)
 
 
-def to_monomial_basis(f):
-    if f.basis == "m":
-        return f
-    out = {}
-    for nu, c in f.coeffs.items():
-        for rho in partitions_of(f.degree):
-            k = kostka(nu, rho)
-            if k:
-                prev = out.get(rho, QPoly.zero())
-                out[rho] = prev + c * k
-    return SymFunc("m", f.degree, out)
-
-
 @cache
 def h_eval_at_q2(i, n):
     """h_i(1, q^2, q^4, ..., q^(2(n-1))) as an exact polynomial."""

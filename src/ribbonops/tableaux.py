@@ -6,6 +6,15 @@ w_t n-ribbons; its spin is the total ribbon spin.  The generating function
 collecting q^spin by weight is symmetric, so it is expanded over monomial
 coefficients indexed by partitions and converted to the Schur basis through
 the Kostka matrix.
+
+Every strip search here stays inside the shape being filled.  The one memo
+table, _chains_below(la, n, weight), runs top down: it holds the spin
+counts of every chain that removes strips of weight[-1], weight[-2], ...
+from la, by the partition the chain ends at.  A prefix of a partition is a
+partition, so the table a top-level call for la fills is the table of
+every smaller outer shape as well.  strip_heads also removes strips, and
+enumerate_tableaux adds strips only where that table says the rest of the
+weight can still reach the outer shape.
 """
 
 from __future__ import annotations
@@ -29,9 +38,9 @@ def strip_heads(mu, la, n):
     size = sum(la) - sum(mu)
     if size % n or not contains(la, mu):
         return None
-    for nu, _, heads in ribbon_strips(mu, n, size // n):
-        if nu == la:
-            return heads
+    for nu, _, heads in ribbon_strips(la, n, size // n, -1, remove=True):
+        if nu == mu:
+            return heads[::-1]
     return None
 
 
@@ -99,15 +108,17 @@ def enumerate_tableaux(outer, inner, n, weight):
         return []
     if any(w < 0 for w in weight):
         raise ValueError("weight entries must be >= 0")
+    weight = tuple(weight)  # its suffixes key the chain table
     found = []
 
     def rec(cur, idx, chain, spin):
         if idx == len(weight):
-            if cur == outer:
-                found.append(RibbonTableau(outer, inner, n, chain, spin))
+            found.append(RibbonTableau(outer, inner, n, chain, spin))
             return
+        # only shapes from which the rest of the weight can still reach outer
+        ahead = _chains_below(outer, n, weight[idx + 1:])
         for la, sp in horizontal_strips(cur, n, weight[idx]):
-            if contains(outer, la):
+            if la in ahead:
                 rec(la, idx + 1, chain + (la,), spin + sp)
 
     rec(inner, 0, (inner,), 0)
@@ -115,17 +126,28 @@ def enumerate_tableaux(outer, inner, n, weight):
 
 
 @cache
+def _chains_below(la, n, weight):
+    """{inner: {spin: count}} over chains removing strips of weight[-1], weight[-2], ... from la.
+
+    The inner dicts are shared with the memo table: read them, never change them.
+    """
+    if not weight:
+        return {la: {0: 1}}
+    out = {}
+    rest = weight[:-1]
+    for mu, sp in horizontal_strips(la, n, weight[-1], remove=True):
+        for inner, counts in _chains_below(mu, n, rest).items():
+            acc = out.get(inner)
+            if acc is None:
+                out[inner] = acc = {}
+            for e, x in counts.items():
+                acc[e + sp] = acc.get(e + sp, 0) + x
+    return out
+
+
 def weight_poly(outer, inner, n, weight):
     """Sum of q^spin over ribbon tableaux of shape outer/inner and given weight."""
-    if not weight:
-        return QPoly.one() if outer == inner else QPoly.zero()
-    acc = {}
-    rest = weight[1:]
-    for la, sp in horizontal_strips(inner, n, weight[0]):
-        if contains(outer, la):
-            for e, x in weight_poly(outer, la, n, rest).coeffs.items():
-                acc[e + sp] = acc.get(e + sp, 0) + x
-    return QPoly(acc)
+    return QPoly(_chains_below(outer, n, tuple(weight)).get(inner))
 
 
 def ribbon_function(outer, inner, n):
@@ -138,9 +160,9 @@ def ribbon_function(outer, inner, n):
     m = size // n
     coeffs = {}
     for nu in partitions_of(m):
-        c = weight_poly(outer, inner, n, nu)
-        if c:
-            coeffs[nu] = c
+        counts = _chains_below(outer, n, nu).get(inner)
+        if counts:
+            coeffs[nu] = QPoly(counts)
     return SymFunc("m", m, coeffs)
 
 

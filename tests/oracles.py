@@ -5,8 +5,10 @@ fillings, with none of the edge-sequence machinery the library uses, so an
 agreement test actually compares two different computations.  The rest are
 the library's earlier algorithms, kept as oracles for their replacements:
 the Jacobi-Trudi determinant by permutations, the power sums and the
-Heisenberg generators by Newton's identity and the rank over Q(q) by
-Bareiss elimination.
+Heisenberg generators by Newton's identity, the rank over Q(q) by Bareiss
+elimination and the ribbon tableau weight polynomials by a forward strip
+search; and helpers only tests read: Fock and monomial coefficients and the
+positive formula's polynomial.
 """
 
 from collections import deque
@@ -15,8 +17,10 @@ from itertools import permutations
 
 from ribbonops.fock import FockVec
 from ribbonops.operators import apply_expansion, apply_h_perp
-from ribbonops.partitions import cells, contains, partitions_of
+from ribbonops.partitions import cells, contains, horizontal_strips, partitions_of
+from ribbonops.positive import formula_words
 from ribbonops.qpoly import QPoly
+from ribbonops.symfunc import SymFunc, kostka
 
 
 def is_ribbon(cellset):
@@ -302,3 +306,49 @@ def rank_by_bareiss(rows, ncols):
         prev = p
         rank += 1
     return rank
+
+
+@cache
+def weight_poly_forward(outer, inner, n, weight):
+    """Sum of q^spin over ribbon tableaux of outer/inner and the given weight.
+
+    Adds the strips from inner up, weight[0] first, and drops every strip
+    that leaves outer.
+    """
+    if not weight:
+        return QPoly.one() if outer == inner else QPoly.zero()
+    acc = {}
+    rest = weight[1:]
+    for la, sp in horizontal_strips(inner, n, weight[0]):
+        if contains(outer, la):
+            for e, x in weight_poly_forward(outer, la, n, rest).coeffs.items():
+                acc[e + sp] = acc.get(e + sp, 0) + x
+    return QPoly(acc)
+
+
+def coefficient(v, la):
+    """The QPoly coefficient of the basis partition la in the FockVec v."""
+    return v.terms.get(la, QPoly.zero())
+
+
+def to_monomial_basis(f):
+    """A SymFunc in the monomial basis, through the Kostka matrix."""
+    if f.basis == "m":
+        return f
+    out = {}
+    for nu, c in f.coeffs.items():
+        for rho in partitions_of(f.degree):
+            k = kostka(nu, rho)
+            if k:
+                prev = out.get(rho, QPoly.zero())
+                out[rho] = prev + c * k
+    return SymFunc("m", f.degree, out)
+
+
+def formula_polynomial(nu, outer, inner, n):
+    """Sum of q^spin over the positive formula's words from inner to outer."""
+    total = QPoly.zero()
+    for _, mu, spin in formula_words(nu, inner, n):
+        if mu == tuple(outer):
+            total = total + QPoly.q_power(spin)
+    return total

@@ -37,6 +37,13 @@ def test_qlr_latex_table(capsys):
     )
 
 
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_qlr_all_zero_table_prints_0(capsys, fmt):
+    # (3,2,1) is its own 2-core, so no domino tableau fills it
+    code, out, _ = run(capsys, "qlr", "--n", "2", "--outer", "3,2,1", "--format", fmt)
+    assert code == 0 and out == "0\n"
+
+
 def test_qlr_json_is_dense_and_flags_agreement(capsys):
     code, out, _ = run(capsys, "qlr", "--n", "3", "--outer", "4,4,4",
                        "--format", "json")

@@ -10,7 +10,6 @@ from ribbonops.positive import (
     _s2_ok,
     apply_formula,
     dual_monomials,
-    formula_polynomial,
     formula_words,
     hook_monomials,
     is_n_commuting,
@@ -21,6 +20,7 @@ from ribbonops.positive import (
 )
 from ribbonops.qlr import qlr_via_operators
 from ribbonops.qpoly import QPoly
+from oracles import formula_polynomial
 
 SUPPORTED = [
     (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1),

@@ -9,10 +9,16 @@ from ribbonops.symfunc import (
     kostka,
     schur_in_h,
     skew_schur_in_h,
-    to_monomial_basis,
     to_schur_basis,
 )
-from oracles import _hadd, _hmul, jacobi_trudi_by_permutations, kostka_count, power_in_h
+from oracles import (
+    _hadd,
+    _hmul,
+    jacobi_trudi_by_permutations,
+    kostka_count,
+    power_in_h,
+    to_monomial_basis,
+)
 
 
 def test_schur_in_h_small_cases():

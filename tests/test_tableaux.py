@@ -1,8 +1,10 @@
 from itertools import permutations
 
+from ribbonops import tableaux
 from ribbonops.fock import FockVec
 from ribbonops.operators import apply_h
-from ribbonops.partitions import partitions_of, partitions_up_to
+from ribbonops.partitions import contains, partitions_of, partitions_up_to, subpartitions
+from ribbonops.qlr import qlr_via_expansion
 from ribbonops.qpoly import QPoly
 from ribbonops.tableaux import (
     RibbonTableau,
@@ -13,7 +15,16 @@ from ribbonops.tableaux import (
     strip_heads,
     weight_poly,
 )
-from oracles import schur_monomial_counts
+from oracles import schur_monomial_counts, weight_poly_forward
+
+
+def compositions(m):
+    """Every composition of m into positive parts."""
+    if m == 0:
+        yield ()
+    for first in range(1, m + 1):
+        for rest in compositions(m - first):
+            yield (first,) + rest
 
 
 def test_strips_agree_with_the_h_operator():
@@ -51,6 +62,43 @@ def test_weight_poly_is_symmetric_in_the_weight():
             base = weight_poly(outer, (), n, nu)
             for w in set(permutations(nu)):
                 assert weight_poly(outer, (), n, w) == base, (outer, n, w)
+
+
+def test_chain_table_matches_the_forward_strip_search():
+    # every composition, and again with a zero part after its first part
+    cases = nonzero = 0
+    for outer in partitions_up_to(8):
+        for inner in subpartitions(outer):
+            size = sum(outer) - sum(inner)
+            for n in (1, 2, 3):
+                if size % n:
+                    continue
+                for w in compositions(size // n):
+                    for weight in (w, w[:1] + (0,) + w[1:]):
+                        got = weight_poly(outer, inner, n, weight)
+                        assert got == weight_poly_forward(outer, inner, n, weight), (
+                            outer, inner, n, weight)
+                        cases += 1
+                        nonzero += bool(got)
+    assert (cases, nonzero) == (24956, 16814)
+
+
+def test_expansion_searches_only_inside_the_outer_shape(monkeypatch):
+    outer, n = (8, 8, 6, 6, 4, 4), 2
+    seen = []
+
+    def spy(la, ribbon_size, k, remove=False):
+        out = horizontal_strips(la, ribbon_size, k, remove)
+        if ribbon_size == n:
+            seen.append(la)
+            seen.extend(mu for mu, _ in out)
+        return out
+
+    monkeypatch.setattr(tableaux, "horizontal_strips", spy)
+    tableaux._chains_below.cache_clear()
+    assert any(qlr_via_expansion(outer, (), n).entries.values())
+    assert seen
+    assert [la for la in seen if not contains(outer, la)] == []
 
 
 def test_tableau_count_matches_weight_poly():
