@@ -27,7 +27,7 @@ from .partitions import (
     ribbon_strips,
 )
 from .positive import UnsupportedShapeError, monomials_in_window, yamanouchi_tableaux
-from .qlr import qlr_table_via_operators, qlr_via_expansion, qlr_via_operators
+from .qlr import format_terms, qlr_table_via_operators, qlr_via_expansion, qlr_via_operators
 from .qpoly import QPoly
 from .tableaux import enumerate_tableaux, ribbon_function
 from .verify import CHECKERS, algebra_dimension, run_identity
@@ -61,10 +61,6 @@ def _window(text):
         raise argparse.ArgumentTypeError(f"window must look like lo:hi, got {text!r}")
 
 
-def _poly_json(p):
-    return p.to_pairs()
-
-
 def _poly_latex(p):
     if not p:
         return "0"
@@ -95,39 +91,36 @@ def _require_nu_size(args, size):
         raise ValueError(f"need n*|nu| = {size}, got {args.n}*{sum(args.nu)}")
 
 
+def _print_table(table, fmt, **extra):
+    if fmt == "json":
+        _emit({**table.to_json(), **extra})
+    elif fmt == "latex":
+        print(table.latex())
+    else:
+        print(table.text())
+
+
 def _cmd_qlr(args):
     size = _require_skew(args.outer, args.inner)
     if size % args.n:
         raise ValueError(f"skew size {size} is not divisible by n={args.n}")
     if args.nu is not None:
         _require_nu_size(args, size)
-        ops = qlr_via_operators(args.nu, args.outer, args.inner, args.n)
-        exp = qlr_via_expansion(args.outer, args.inner, args.n).coefficient(args.nu)
-        if ops != exp:
-            print(f"route mismatch for nu={format_partition(args.nu)}: "
-                  f"operators {ops}, expansion {exp}", file=sys.stderr)
-            return 1
-        if args.format == "json":
-            _emit({"n": args.n, "outer": list(args.outer), "inner": list(args.inner),
-                   "nu": list(args.nu), "coeffs": _poly_json(ops), "routes_agree": True})
-        elif args.format == "latex":
-            print(_poly_latex(ops))
-        else:
-            print(ops)
-        return 0
-    table_ops = qlr_table_via_operators(args.outer, args.inner, args.n)
-    table_exp = qlr_via_expansion(args.outer, args.inner, args.n)
-    if table_ops.entries != table_exp.entries:
+    table = qlr_table_via_operators(args.outer, args.inner, args.n)
+    if table.entries != qlr_via_expansion(args.outer, args.inner, args.n).entries:
         print("route mismatch between operator and expansion tables", file=sys.stderr)
         return 1
+    if args.nu is None:
+        _print_table(table, args.format, routes_agree=True)
+        return 0
+    c = table.coefficient(args.nu)
     if args.format == "json":
-        payload = table_ops.to_json()
-        payload["routes_agree"] = True
-        _emit(payload)
+        _emit({"n": args.n, "outer": list(args.outer), "inner": list(args.inner),
+               "nu": list(args.nu), "coeffs": c.to_pairs(), "routes_agree": True})
     elif args.format == "latex":
-        print(table_ops.latex())
+        print(_poly_latex(c))
     else:
-        print(table_ops.text())
+        print(c)
     return 0
 
 
@@ -136,32 +129,18 @@ def _cmd_ribbonfn(args):
     if size % args.n:
         raise ValueError(f"skew size {size} is not divisible by n={args.n}")
     if args.basis == "schur":
-        table = qlr_via_expansion(args.outer, args.inner, args.n)
-        if args.format == "json":
-            _emit(table.to_json())
-        elif args.format == "latex":
-            print(table.latex())
-        else:
-            print(table.text())
+        _print_table(qlr_via_expansion(args.outer, args.inner, args.n), args.format)
         return 0
     f = ribbon_function(args.outer, args.inner, args.n)
     if args.format == "latex":
         raise ValueError("latex output is only wired for the schur basis")
+    terms = sorted(f.coeffs.items(), key=lambda t: (sum(t[0]), t[0]))
     if args.format == "json":
         _emit({"n": args.n, "outer": list(args.outer), "inner": list(args.inner),
                "basis": "monomial",
-               "entries": [{"mu": list(mu), "coeffs": _poly_json(c)}
-                           for mu, c in sorted(f.coeffs.items(),
-                                               key=lambda t: (sum(t[0]), t[0]))]})
+               "entries": [{"mu": list(mu), "coeffs": c.to_pairs()} for mu, c in terms]})
     else:
-        bits = []
-        for mu, c in sorted(f.coeffs.items(), key=lambda t: (sum(t[0]), t[0])):
-            body = str(c)
-            if " " in body:
-                body = f"({body})"
-            name = ",".join(map(str, mu))
-            bits.append(f"m[{name}]" if body == "1" else f"{body} m[{name}]")
-        print(" + ".join(bits) if bits else "0")
+        print(format_terms(terms, "m"))
     return 0
 
 
@@ -251,7 +230,7 @@ def _cmd_yamanouchi(args):
     if args.format == "json":
         _emit({"n": args.n, "nu": list(args.nu), "outer": list(args.outer),
                "inner": list(args.inner), "tableaux": [t.to_json() for t in found],
-               "coeffs": _poly_json(total), "matches_operator_route": agree})
+               "coeffs": total.to_pairs(), "matches_operator_route": agree})
     else:
         for t in found:
             print(f"spin {t.spin}")

@@ -9,8 +9,8 @@ signed pass.  p_k(u) is the Heisenberg generator B_{-k}, and neither it nor
 B_k = p_k(u)^perp goes through an expansion: by Murnaghan-Nakayama, p_k is
 the alternating sum of the hook schur functions s_{(k-b, 1^b)}, and the
 paper's positive hook formula makes each B_{-k}, and its transpose B_k, one
-pass of signed single-ribbon-word moves.  B_{-k} reads the hook words from
-positive._hook_words; B_k removes the same strips in reverse.  The diagonal
+pass of signed single-ribbon-word moves.  B_{-k} adds each hook word as two
+ribbon strips; B_k removes the same strips in reverse.  The diagonal
 operators read their weights from ribbon_slots, also in one signed pass.
 
 Words store letters in product order: apply_word((2, 1, 3, 0), n, v)
@@ -31,7 +31,6 @@ from .partitions import (
     ribbon_slots,
     ribbon_strips,
 )
-from .positive import _hook_words
 from .qpoly import qbracket
 from .symfunc import elementary_in_h, schur_in_h, skew_schur_in_h
 
@@ -132,10 +131,11 @@ def _B_moves(la, n, k):
     """Signed moves of B_k on la as ((c, ((mu, spin), ...)), ...), c != 0.
 
     p_m = sum_{b<m} (-1)^b s_{(m-b, 1^b)} (Murnaghan-Nakayama).  For k = -m
-    each hook term contributes the words of its positive formula on la, read
-    from positive._hook_words.  For k = m the same words run backwards: the
-    arm comes off with descending heads, then the leg with ascending heads
-    from the last arm head on.
+    each hook term contributes the words of its positive formula on la: the
+    leg goes on with descending heads, then the arm with ascending heads after
+    the last leg head.  For k = m the same words run backwards: the arm comes
+    off with descending heads, then the leg with ascending heads from the
+    last arm head on.
     Equal (mu, spin) merge and cancelled ones are dropped.
     """
     m = abs(k)
@@ -143,7 +143,9 @@ def _B_moves(la, n, k):
     for b in range(m):
         sign = -1 if b % 2 else 1
         if k < 0:
-            hits = ((mu, spin) for _, mu, spin in _hook_words(la, m - b, b, n))
+            hits = ((mu, leg_spin + arm_spin)
+                    for low, leg_spin, leg in ribbon_strips(la, n, b + 1, sign=-1)
+                    for mu, arm_spin, _ in ribbon_strips(low, n, m - b - 1, after=leg[-1]))
         else:
             hits = ((mu, arm_spin + leg_spin)
                     for mid, arm_spin, arm in ribbon_strips(la, n, m - b, sign=-1, remove=True)

@@ -241,7 +241,6 @@ def _runner_charges(la, n, m):
     return runners, charges
 
 
-@cache
 def core_and_quotient(la, n):
     """(core, quotient, offsets) for the n-core / n-quotient bijection.
 

@@ -113,8 +113,7 @@ def _hook_words(la, a, b, n):
     The leg goes first with strictly descending heads, then the arm with
     ascending heads starting below the last leg head.  So the heads descend
     through the leg and the first arm head, then ascend from there.  Not
-    memoized: each caller reads every (la, nu) once, and operators._B_moves
-    keeps its own merged moves.
+    memoized: formula_words reads every (la, nu) once.
     """
     out = []
     for low_mu, low_spin, down in ribbon_strips(la, n, b + 1, sign=-1):

@@ -9,11 +9,12 @@ cell-level tiling: the operator route adds strips to inner, the expansion
 route removes them from outer, and it also counts its Kostka numbers with
 the n = 1 strips.  Everything above that differs (Jacobi-Trudi determinant
 signs vs tableau chains plus Kostka inversion), which is what makes their
-agreement a real check.  The operator route reads each pairing
-<h_alpha . inner, outer> once per table and sums every nu's Jacobi-Trudi
-terms from those reads; the expansion route reads one chain table per
-outer shape and weight, shared by every inner shape and every smaller
-outer shape.
+agreement a real check.  Each route computes the whole table of a skew
+shape, and a single coefficient is one entry of it.  The operator route
+reads each pairing <h_alpha . inner, outer> once per table and sums every
+nu's Jacobi-Trudi terms from those reads; the expansion route reads one
+chain table per outer shape and weight, shared by every inner shape and
+every smaller outer shape, and converts it to the Schur basis.
 """
 
 from __future__ import annotations
@@ -22,43 +23,37 @@ import warnings
 from dataclasses import dataclass, field
 
 from .operators import _h_vector
-from .partitions import partitions_of, partitions_up_to, subpartitions
+from .partitions import is_partition, partitions_of, partitions_up_to, subpartitions
 from .qpoly import QPoly
-from .symfunc import schur_in_h
-from .tableaux import ribbon_function_schur
+from .symfunc import schur_in_h, to_schur_basis
+from .tableaux import ribbon_function
 
 
 def qlr_via_operators(nu, outer, inner, n):
-    """<s_nu(u) . inner, outer> from the operator route."""
+    """<s_nu(u) . inner, outer>: the nu entry of the operator-route table."""
     nu = tuple(nu)
     if sum(outer) - sum(inner) != n * sum(nu):
         warnings.warn(
             f"skew size {sum(outer) - sum(inner)} != {n}*|{nu}|; pairing is identically zero",
             stacklevel=2)
         return QPoly.zero()
-    return _pairings(outer, inner, n, (nu,), schur_in_h(nu)).get(nu, QPoly.zero())
+    if not is_partition(nu):
+        raise ValueError(f"nu {nu} is not a partition")
+    return qlr_table_via_operators(outer, inner, n).coefficient(nu)
 
 
-def _pairings(outer, inner, n, nus, alphas):
-    """{nu: <s_nu(u) . inner, outer>} over nus, zeros omitted, on raw {exponent: int} dicts.
-
-    Each <h_alpha . inner, outer> is read once; alphas must cover the h-terms of every nu.
-    """
-    hits = {}
-    for alpha in alphas:
-        hit = _h_vector(inner, n, alpha).terms.get(outer)
-        if hit:
-            hits[alpha] = hit.coeffs
-    out = {}
-    for nu in nus if hits else ():
-        acc = {}
-        for alpha, c in schur_in_h(nu).items():
-            for e, x in hits.get(alpha, {}).items():
-                acc[e] = acc.get(e, 0) + c * x
-        total = QPoly(acc)
-        if total:
-            out[nu] = total
-    return out
+def format_terms(terms, letter):
+    """Text of a sum over (index, QPoly) pairs as "c letter[index] + ..."; zeros skipped."""
+    bits = []
+    for key, c in terms:
+        if not c:
+            continue
+        body = str(c)
+        if " " in body:
+            body = f"({body})"
+        name = ",".join(map(str, key))
+        bits.append(f"{letter}[{name}]" if body == "1" else f"{body} {letter}[{name}]")
+    return " + ".join(bits) or "0"
 
 
 @dataclass
@@ -94,17 +89,7 @@ class QLRTable:
         }
 
     def text(self):
-        bits = []
-        for nu in partitions_of(self.degree):
-            c = self.entries.get(nu)
-            if not c:
-                continue
-            body = str(c)
-            if " " in body:
-                body = f"({body})"
-            name = ",".join(map(str, nu))
-            bits.append(f"s[{name}]" if body == "1" else f"{body} s[{name}]")
-        return " + ".join(bits) or "0"
+        return format_terms(self.entries.items(), "s")
 
     def latex(self):
         """Group the expansion by powers of q, smallest exponent first."""
@@ -133,16 +118,33 @@ class QLRTable:
 
 def qlr_via_expansion(outer, inner, n):
     """Schur expansion of the ribbon spin generating function, as a table."""
-    f = ribbon_function_schur(outer, inner, n)
+    f = to_schur_basis(ribbon_function(outer, inner, n))
     return QLRTable(tuple(outer), tuple(inner), n, dict(f.coeffs))
 
 
 def qlr_table_via_operators(outer, inner, n):
+    """Every <s_nu(u) . inner, outer>, summed on raw {exponent: int} dicts.
+
+    Each pairing <h_alpha . inner, outer> is read once; the Jacobi-Trudi
+    terms of a partition nu are partitions of the same size.
+    """
     size = sum(outer) - sum(inner)
     if size % n:
         raise ValueError(f"skew size {size} is not a multiple of {n}")
     nus = partitions_of(size // n)
-    return QLRTable(tuple(outer), tuple(inner), n, _pairings(outer, inner, n, nus, nus))
+    hits = {}
+    for alpha in nus:
+        hit = _h_vector(inner, n, alpha).terms.get(outer)
+        if hit:
+            hits[alpha] = hit.coeffs
+    entries = {}
+    for nu in nus if hits else ():
+        acc = {}
+        for alpha, c in schur_in_h(nu).items():
+            for e, x in hits.get(alpha, {}).items():
+                acc[e] = acc.get(e, 0) + c * x
+        entries[nu] = QPoly(acc)
+    return QLRTable(tuple(outer), tuple(inner), n, entries)
 
 
 @dataclass

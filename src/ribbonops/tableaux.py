@@ -4,8 +4,8 @@ A ribbon tableau of shape outer/inner and weight (w_1, ..., w_r) is a chain
 of partitions from inner to outer whose t-th step adds a horizontal strip of
 w_t n-ribbons; its spin is the total ribbon spin.  The generating function
 collecting q^spin by weight is symmetric, so it is expanded over monomial
-coefficients indexed by partitions and converted to the Schur basis through
-the Kostka matrix.
+coefficients indexed by partitions; symfunc.to_schur_basis converts it to
+the Schur basis through the Kostka matrix.
 
 Every strip search here stays inside the shape being filled.  The one memo
 table, _chains_below(la, n, weight), runs top down: it holds the spin
@@ -30,7 +30,7 @@ from .partitions import (
     ribbon_strips,
 )
 from .qpoly import QPoly
-from .symfunc import SymFunc, to_schur_basis
+from .symfunc import SymFunc
 
 
 def strip_heads(mu, la, n):
@@ -164,7 +164,3 @@ def ribbon_function(outer, inner, n):
         if counts:
             coeffs[nu] = QPoly(counts)
     return SymFunc("m", m, coeffs)
-
-
-def ribbon_function_schur(outer, inner, n):
-    return to_schur_basis(ribbon_function(outer, inner, n))

@@ -1,12 +1,15 @@
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ribbonops import cli
 from ribbonops.cli import main
 from ribbonops.partitions import format_partition, horizontal_strips, partitions_up_to
+from ribbonops.qpoly import QPoly
 from ribbonops.tableaux import strip_heads
 
 
@@ -73,6 +76,94 @@ def test_qlr_rejects_bad_containment(capsys):
     code, _, err = run(capsys, "qlr", "--n", "2", "--outer", "2,2",
                        "--inner", "3")
     assert code == 2 and "not contained" in err
+
+
+def _summands(text):
+    """The summands of "a + (b + c) d", split at the + signs outside parentheses."""
+    out, cur, depth = [], "", 0
+    for part in text.split(" + "):
+        cur = f"{cur} + {part}" if cur else part
+        depth += part.count("(") - part.count(")")
+        if not depth:
+            out.append(cur)
+            cur = ""
+    return out
+
+
+def _latex_nu(name):
+    return tuple(map(int, name.split(","))) if "," in name else tuple(map(int, name))
+
+
+def _latex_table(text):
+    """{nu: {exponent: coefficient}} read back from the q-grouped latex of a table."""
+    out = {}
+    for bit in [] if text == "0" else _summands(text):
+        m = re.fullmatch(r"(?:q(?:\^\{(\d+)\})?)? ?\(?(.*?)\)?", bit)
+        e = int(m[1] or 1) if bit.startswith("q") else 0
+        for term in m[2].split(" + "):
+            c, name = re.fullmatch(r"(\d*)s_\{([\d,]+)\}", term).groups()
+            out.setdefault(_latex_nu(name), {})[e] = int(c or 1)
+    return out
+
+
+def _latex_poly(text):
+    """{exponent: coefficient} read back from the latex of one coefficient."""
+    out = {}
+    for term in [] if text == "0" else text.split(" + "):
+        c, q, e = re.fullmatch(r"(-?\d*)(q(?:\^\{(\d+)\})?)?", term).groups()
+        if not q:
+            out[0] = int(c)
+        else:
+            out[int(e or 1)] = int(c + "1" if c in ("", "-") else c)
+    return out
+
+
+@pytest.mark.parametrize("outer,inner,n", [("4,4,4", "-", "3"), ("5,4,3", "2,1", "3"),
+                                           ("6,2,2", "2", "2")])
+def test_qlr_nu_prints_the_table_entry(capsys, outer, inner, n):
+    shape = ("--n", n, "--outer", outer, "--inner", inner)
+    code, out, _ = run(capsys, "qlr", *shape, "--format", "json")
+    assert code == 0
+    entries = {tuple(e["nu"]): e["coeffs"] for e in json.loads(out)["entries"]}
+    code, out, _ = run(capsys, "qlr", *shape)
+    assert code == 0
+    text_terms = {}
+    for bit in _summands(out.strip()):
+        body, name = re.fullmatch(r"(?:(.*) )?s\[([\d,]+)\]", bit).groups()
+        text_terms[tuple(map(int, name.split(",")))] = body or "1"
+    code, out, _ = run(capsys, "qlr", *shape, "--format", "latex")
+    assert code == 0
+    latex_terms = _latex_table(out.strip())
+    assert len(entries) > 2 and len(text_terms) > 1
+    for nu, coeffs in entries.items():
+        at = ("--nu", ",".join(map(str, nu)))
+        code, out, err = run(capsys, "qlr", *shape, *at, "--format", "json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["coeffs"] == coeffs and payload["routes_agree"] is True
+        assert payload["nu"] == list(nu)
+        code, out, _ = run(capsys, "qlr", *shape, *at)
+        body = out.strip()
+        assert code == 0
+        assert text_terms.get(nu, "0") == (f"({body})" if " " in body else body), nu
+        code, out, _ = run(capsys, "qlr", *shape, *at, "--format", "latex")
+        assert code == 0
+        assert _latex_poly(out.strip()) == latex_terms.get(nu, {}) == dict(coeffs), nu
+
+
+def test_qlr_compares_the_whole_table_even_for_one_nu(capsys, monkeypatch):
+    real = cli.qlr_via_expansion
+
+    def off_by_one(outer, inner, n):
+        table = real(outer, inner, n)
+        table.entries[(4,)] = table.entries[(4,)] + QPoly.one()
+        return table
+
+    monkeypatch.setattr(cli, "qlr_via_expansion", off_by_one)
+    for nu in ((), ("--nu", "2,2")):
+        code, out, err = run(capsys, "qlr", "--n", "3", "--outer", "4,4,4", *nu)
+        assert code == 1 and out == ""
+        assert err == "route mismatch between operator and expansion tables\n"
 
 
 def test_ribbonfn_monomial_basis(capsys):

@@ -163,8 +163,8 @@ def test_B_matches_newton_oracle_on_images():
 
 
 def test_B_raising_fills_no_hook_word_memo():
-    # B_{-k} reads the positive hook formula's words, which are not memoized;
-    # it memoizes only its merged moves
+    # B_{-k} adds the positive hook formula's words as two strip searches and
+    # memoizes only its merged moves, never a word table in positive
     operators._B_moves.cache_clear()
     for la in partitions_up_to(4):
         assert apply_B(-3, 2, basis(la))

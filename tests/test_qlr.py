@@ -126,6 +126,13 @@ def test_size_mismatch_warns_and_returns_zero():
         assert qlr_via_operators((1,), (2, 2), (), 3) == QPoly.zero()
 
 
+@pytest.mark.parametrize("nu", [(1, 3), (4, 0)])
+def test_single_coefficient_rejects_a_composition(nu):
+    # the table has one entry per partition; a composition has none
+    with pytest.raises(ValueError):
+        qlr_via_operators(nu, (4, 4), (), 2)
+
+
 def test_table_rejects_indivisible_size():
     with pytest.raises(ValueError):
         qlr_table_via_operators((2, 2), (1,), 2)

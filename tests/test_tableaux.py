@@ -6,12 +6,12 @@ from ribbonops.operators import apply_h
 from ribbonops.partitions import contains, partitions_of, partitions_up_to, subpartitions
 from ribbonops.qlr import qlr_via_expansion
 from ribbonops.qpoly import QPoly
+from ribbonops.symfunc import to_schur_basis
 from ribbonops.tableaux import (
     RibbonTableau,
     enumerate_tableaux,
     horizontal_strips,
     ribbon_function,
-    ribbon_function_schur,
     strip_heads,
     weight_poly,
 )
@@ -154,7 +154,7 @@ def test_ribbon_function_degree_and_conservation():
     # coefficients of a fixed weight sum to the strip counts regardless of order
     f = ribbon_function((4, 4, 4), (), 3)
     assert f.degree == 4 and f.basis == "m"
-    g = ribbon_function_schur((4, 4, 4), (), 3)
+    g = to_schur_basis(f)
     assert g.basis == "s"
     # evaluating the schur expansion at q = 1 must count all tableaux of
     # every standard weight: cross-check one entry against enumeration
