@@ -26,11 +26,12 @@ from .partitions import (
     partitions_up_to,
     ribbon_strips,
 )
-from .positive import UnsupportedShapeError, monomials_in_window, yamanouchi_tableaux
 from .qlr import format_terms, qlr_table_via_operators, qlr_via_expansion, qlr_via_operators
 from .qpoly import QPoly
 from .tableaux import enumerate_tableaux, ribbon_function
-from .verify import CHECKERS, algebra_dimension, run_identity
+
+# `positive` and `verify` are imported by the verbs that run them, so that a
+# qlr query does not load (and, without bytecode caches, compile) them.
 
 
 def _partition(text):
@@ -209,6 +210,8 @@ def _cmd_apply(args):
 
 
 def _cmd_monomials(args):
+    from .positive import monomials_in_window
+
     words = monomials_in_window(args.nu, args.n, args.window)
     if args.format == "json":
         _emit({"n": args.n, "nu": list(args.nu), "window": list(args.window),
@@ -220,6 +223,8 @@ def _cmd_monomials(args):
 
 
 def _cmd_yamanouchi(args):
+    from .positive import yamanouchi_tableaux
+
     _require_nu_size(args, _require_skew(args.outer, args.inner))
     found = yamanouchi_tableaux(args.nu, args.outer, args.inner, args.n)
     total = QPoly.zero()
@@ -242,11 +247,15 @@ def _cmd_yamanouchi(args):
 
 
 def _verify_chunk(task):
+    from .verify import run_identity
+
     name, n, max_size, shapes = task
     return run_identity(name, n, max_size, shapes)
 
 
 def _run_checker(name, n, max_size, jobs):
+    from .verify import run_identity
+
     t0 = time.perf_counter()
     shapes = list(partitions_up_to(max_size))
     jobs = min(jobs, os.cpu_count() or 1, len(shapes))
@@ -268,6 +277,8 @@ def _run_checker(name, n, max_size, jobs):
 
 
 def _cmd_verify(args):
+    from .verify import CHECKERS
+
     if args.identity == "dimension":
         return _dimension(args)
     names = tuple(CHECKERS) if args.identity == "all" else (args.identity,)
@@ -281,6 +292,8 @@ def _cmd_verify(args):
 
 
 def _dimension(args):
+    from .verify import algebra_dimension
+
     rep = algebra_dimension(args.n, args.k, max_size=args.max_size,
                             residues=args.blocks, seed=args.seed)
     if args.format == "text":
@@ -288,6 +301,22 @@ def _dimension(args):
     else:
         _emit(rep.to_json())
     return 0 if rep.stable else 1
+
+
+class _IdentityChoices:
+    """The `verify --identity` choices: (*verify.CHECKERS, "dimension", "all").
+
+    argparse reads them only to check or print that option, so `verify` is
+    imported there, and a parser that runs another verb never loads it.
+    """
+
+    def __iter__(self):
+        from .verify import CHECKERS
+
+        return iter((*CHECKERS, "dimension", "all"))
+
+    def __contains__(self, name):
+        return name in tuple(self)
 
 
 def _add_common(p, *, outer=False, inner=False, nu=False):
@@ -359,8 +388,8 @@ def build_parser():
     p.set_defaults(func=_cmd_yamanouchi)
 
     p = sub.add_parser("verify", help="identity verification and dimension experiment")
-    p.add_argument("--identity", required=True,
-                   choices=(*CHECKERS, "dimension", "all"))
+    # set after add_argument, which would read the choices to check them
+    p.add_argument("--identity", required=True).choices = _IdentityChoices()
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--k", type=int, default=2, help="generator count for dimension")
@@ -394,7 +423,7 @@ def main(argv=None):
             args.max_size = 8
     try:
         return args.func(args)
-    except (ValueError, UnsupportedShapeError) as e:
+    except ValueError as e:  # positive.UnsupportedShapeError included
         print(f"error: {e}", file=sys.stderr)
         return 2
 

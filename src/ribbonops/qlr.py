@@ -20,7 +20,6 @@ every smaller outer shape, and converts it to the Schur basis.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 from .operators import _h_vector
 from .partitions import is_partition, partitions_of, partitions_up_to, subpartitions
@@ -56,17 +55,15 @@ def format_terms(terms, letter):
     return " + ".join(bits) or "0"
 
 
-@dataclass
 class QLRTable:
     """All q-Littlewood-Richardson coefficients of one skew shape."""
 
-    outer: tuple
-    inner: tuple
-    n: int
-    entries: dict = field(default_factory=dict)  # {nu: QPoly}, dense over nu of degree m
-
-    def __post_init__(self):
-        given = self.entries  # rebuilt dense in partitions_of order; other keys are dropped
+    def __init__(self, outer, inner, n, entries=None):
+        self.outer = outer
+        self.inner = inner
+        self.n = n
+        # {nu: QPoly}, dense over the nu of degree m in partitions_of order; other keys are dropped
+        given = entries or {}
         self.entries = {nu: given.get(nu) or QPoly() for nu in partitions_of(self.degree)}
 
     @property
@@ -102,7 +99,7 @@ class QLRTable:
         bits = []
         for e in sorted(by_power):
             terms = []
-            for nu, c in sorted(by_power[e], key=lambda t: partitions_of(self.degree).index(t[0])):
+            for nu, c in by_power[e]:  # in partitions_of order, as entries are
                 sep = "," if any(p > 9 for p in nu) else ""
                 body = f"s_{{{sep.join(map(str, nu)) if sep else ''.join(map(str, nu))}}}"
                 terms.append(body if c == 1 else f"{c}{body}")
@@ -147,13 +144,13 @@ def qlr_table_via_operators(outer, inner, n):
     return QLRTable(tuple(outer), tuple(inner), n, entries)
 
 
-@dataclass
 class ScanReport:
-    max_size: int
-    ns: tuple
-    shapes: int = 0
-    entries: int = 0
-    violations: list = field(default_factory=list)
+    def __init__(self, max_size, ns, shapes=0, entries=0, violations=None):
+        self.max_size = max_size
+        self.ns = ns
+        self.shapes = shapes
+        self.entries = entries
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self):

@@ -9,8 +9,6 @@ weights, Heisenberg scalars) has nonnegative exponents.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class QPoly:
     def __init__(self, coeffs=None):
@@ -116,6 +114,8 @@ class QPoly:
 
     def evaluate(self, x):
         """Value at x, exact when x is an int or Fraction."""
+        from fractions import Fraction
+
         if not isinstance(x, (int, Fraction)):
             raise TypeError("evaluate wants an int or Fraction")
         return sum((c * Fraction(x) ** e for e, c in self.coeffs.items()), Fraction(0))

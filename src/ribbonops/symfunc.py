@@ -14,7 +14,6 @@ reads them, through to_schur_basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .partitions import horizontal_strips, partitions_of
@@ -85,18 +84,15 @@ def kostka(nu, rho):
     return sum(kostka(mu, rho[:-1]) for mu, _ in horizontal_strips(nu, 1, rho[-1], remove=True))
 
 
-@dataclass
 class SymFunc:
     """Homogeneous symmetric function with QPoly coefficients, in basis 'm' or 's'."""
 
-    basis: str
-    degree: int
-    coeffs: dict
-
-    def __post_init__(self):
-        if self.basis not in ("m", "s"):
+    def __init__(self, basis, degree, coeffs):
+        if basis not in ("m", "s"):
             raise ValueError("basis must be 'm' or 's'")
-        self.coeffs = {nu: c for nu, c in self.coeffs.items() if c}
+        self.basis = basis
+        self.degree = degree
+        self.coeffs = {nu: c for nu, c in coeffs.items() if c}
 
     def coefficient(self, nu):
         return self.coeffs.get(nu, QPoly.zero())

@@ -13,13 +13,12 @@ counts of every chain that removes strips of weight[-1], weight[-2], ...
 from la, by the partition the chain ends at.  A prefix of a partition is a
 partition, so the table a top-level call for la fills is the table of
 every smaller outer shape as well.  strip_heads also removes strips, and
-enumerate_tableaux adds strips only where that table says the rest of the
-weight can still reach the outer shape.
+so does enumerate_tableaux: one backward pass from the outer shape keeps
+each level's removal strips, and the chains are read forward along them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .partitions import (
@@ -44,13 +43,13 @@ def strip_heads(mu, la, n):
     return None
 
 
-@dataclass
 class RibbonTableau:
-    outer: tuple
-    inner: tuple
-    n: int
-    chain: tuple  # partitions from inner to outer, one per strip
-    spin: int
+    def __init__(self, outer, inner, n, chain, spin):
+        self.outer = outer
+        self.inner = inner
+        self.n = n
+        self.chain = chain  # partitions from inner to outer, one per strip
+        self.spin = spin
 
     @property
     def weight(self):
@@ -108,18 +107,28 @@ def enumerate_tableaux(outer, inner, n, weight):
         return []
     if any(w < 0 for w in weight):
         raise ValueError("weight entries must be >= 0")
-    weight = tuple(weight)  # its suffixes key the chain table
+    # One backward pass from outer: up[t][mu] holds (heads, la, spin) for
+    # each strip la/mu of weight[t] ribbons whose la is outer or reached at
+    # level t + 1, with its heads ascending, as they would be added to mu.
+    # Every shape kept contains inner, so no chain from inner dead-ends.
+    up = [None] * len(weight)
+    level = (outer,)
+    for t in range(len(weight) - 1, -1, -1):
+        up[t] = {}
+        for la in level:
+            for mu, sp, heads in ribbon_strips(la, n, weight[t], -1, remove=True):
+                if contains(mu, inner):
+                    up[t].setdefault(mu, []).append((heads[::-1], la, sp))
+        level = up[t]
     found = []
 
     def rec(cur, idx, chain, spin):
         if idx == len(weight):
             found.append(RibbonTableau(outer, inner, n, chain, spin))
             return
-        # only shapes from which the rest of the weight can still reach outer
-        ahead = _chains_below(outer, n, weight[idx + 1:])
-        for la, sp in horizontal_strips(cur, n, weight[idx]):
-            if la in ahead:
-                rec(la, idx + 1, chain + (la,), spin + sp)
+        # by heads: the order in which horizontal_strips adds the strips to cur
+        for _, la, sp in sorted(up[idx].get(cur, ())):
+            rec(la, idx + 1, chain + (la,), spin + sp)
 
     rec(inner, 0, (inner,), 0)
     return found

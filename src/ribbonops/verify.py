@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .fock import FockVec
 from .operators import (
@@ -45,14 +43,14 @@ from .qpoly import QPoly, qbracket
 from .symfunc import h_eval_at_q2
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    n: int
-    params: dict
-    cases: int = 0
-    failures: list = field(default_factory=list)
-    elapsed: float = 0.0
+    def __init__(self, identity, n, params, cases=0, failures=None, elapsed=0.0):
+        self.identity = identity
+        self.n = n
+        self.params = params
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
 
     @property
     def ok(self):
@@ -236,20 +234,21 @@ def run_identity(name, n, max_size, shapes=None):
     return checker(n, max_size, shapes)
 
 
-@dataclass
 class DimensionReport:
-    n: int
-    k: int
-    max_size: int
-    residues: tuple
-    basis_size: int
-    words: int
-    rank: int
-    rank_smaller: int
-    stable: bool
-    specialization_ranks: tuple
-    certificate: str
-    elapsed: float
+    def __init__(self, n, k, max_size, residues, basis_size, words, rank,
+                 rank_smaller, stable, specialization_ranks, certificate, elapsed):
+        self.n = n
+        self.k = k
+        self.max_size = max_size
+        self.residues = residues
+        self.basis_size = basis_size
+        self.words = words
+        self.rank = rank
+        self.rank_smaller = rank_smaller
+        self.stable = stable
+        self.specialization_ranks = specialization_ranks
+        self.certificate = certificate
+        self.elapsed = elapsed
 
     def to_json(self):
         return {
@@ -325,6 +324,8 @@ def _rank(rows, point, modulus=None):
     until it vanishes or leads a column of its own.
     """
     if modulus is None:
+        from fractions import Fraction
+
         reduce, inverse = (lambda x: x), (lambda x: 1 / Fraction(x))
     else:
         reduce, inverse = (lambda x: x % modulus), (lambda x: pow(x, -1, modulus))

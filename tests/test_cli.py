@@ -1,12 +1,17 @@
+import argparse
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ribbonops import cli
+import ribbonops
+from ribbonops import cli, verify
 from ribbonops.cli import main
 from ribbonops.partitions import format_partition, horizontal_strips, partitions_up_to
 from ribbonops.qpoly import QPoly
@@ -456,6 +461,42 @@ def test_dim_shorthand(capsys):
     code, out, _ = run(capsys, "dim", "--n", "1", "--k", "1", "--format", "text")
     assert code == 0
     assert out.startswith("dim n=1 k=1") and "rank 2" in out
+
+
+_PROBE = """import json, sys
+before = set(sys.modules)
+from ribbonops.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["qlr", "--n", "2", "--outer", "5,3,2", "--inner", "2", "--format", "json"],
+    ["quotient", "7,5,3,1", "--n", "3"],
+])
+def test_a_query_loads_only_the_code_it_runs(argv):
+    # a fresh process, as a shell runs the command; the names are those the
+    # query would import (and compile) but never run
+    src = os.path.dirname(os.path.dirname(ribbonops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert {"ribbonops.cli", "ribbonops.qlr", "argparse"} <= loaded
+    unused = {"dataclasses", "fractions", "inspect", "ribbonops.positive", "ribbonops.verify"}
+    assert sorted(loaded & unused) == []
+
+
+def test_verify_identity_choices_are_the_checker_names():
+    top = cli.build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    identity = next(a for a in sub.choices["verify"]._actions if a.dest == "identity")
+    assert tuple(identity.choices) == (*verify.CHECKERS, "dimension", "all")
+    assert "all" in identity.choices and "nope" not in identity.choices
 
 
 def test_usage_error_exits_two():

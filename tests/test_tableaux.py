@@ -101,6 +101,31 @@ def test_expansion_searches_only_inside_the_outer_shape(monkeypatch):
     assert [la for la in seen if not contains(outer, la)] == []
 
 
+def test_enumeration_walks_one_backward_pass():
+    # the chains follow the removal strips of one backward pass from outer,
+    # not the chain table, which they leave as it was; they come in the
+    # forward order, by the heads of each strip as h_k adds them
+    tableaux._chains_below.cache_clear()
+    for outer, inner, n, weight in (
+        ((8, 8, 6, 6, 4, 4), (), 2, (6, 5, 4, 3)),
+        ((8, 8, 6, 6, 4, 4), (), 2, (3, 4, 5, 6)),
+        ((7, 5, 3, 1), (2, 2), 2, (2, 0, 1, 3)),
+        ((8, 6, 4, 2), (2,), 2, (2, 0, 3, 4)),
+        ((7, 6, 4, 3, 1), (), 3, (2, 1, 3, 1)),
+    ):
+        tabs = enumerate_tableaux(outer, inner, n, weight)
+        assert tableaux._chains_below.cache_info().currsize == 0
+        assert len({t.chain for t in tabs}) == len(tabs) > 0
+        for t in tabs:
+            assert t.chain[0] == inner and t.chain[-1] == outer and t.weight == weight
+        heads = [[d for _, d in t.tiles()] for t in tabs]
+        assert heads == sorted(heads)
+        total = QPoly.zero()
+        for t in tabs:
+            total = total + QPoly({t.spin: 1})
+        assert total == weight_poly_forward(outer, inner, n, weight), (outer, inner, n, weight)
+
+
 def test_tableau_count_matches_weight_poly():
     outer, n = (4, 4, 4), 3
     for nu in partitions_of(4):
