@@ -169,18 +169,22 @@ def diagonal_window(la, n, k=1):
 
 @cache
 def ribbon_slots(la, n):
-    """All addable/removable n-ribbon slots, ascending by head diagonal."""
-    lo, hi = diagonal_window(la, n, 1)
-    m = max(len(la), n - lo)
-    bset = set(_beta(la, m))
+    """All addable/removable n-ribbon slots, ascending by head diagonal.
+
+    A slot moves a member b of S(la) to b + n (add) or b to b - n (remove).
+    Every member above -len(la) - n - 1 lies among the first len(la) + n, so
+    those hold both ends of every slot and every member between them.
+    """
+    bset = set(_beta(la, len(la) + n))
     out = []
-    for i in range(lo, hi + 1):
-        head, tail = i in bset, (i - n) in bset
-        if head == tail:
-            continue
-        spin = sum(1 for b in bset if i - n < b < i)
-        out.append(RibbonSlot(i, "add" if tail else "remove", spin))
-    return tuple(out)
+    for b in bset:
+        if b + n not in bset:
+            out.append((b + n, "add"))
+        # every integer below -len(la) is a member, listed here or not
+        if b - n not in bset and b >= n - len(la):
+            out.append((b, "remove"))
+    return tuple(RibbonSlot(i, kind, sum(1 for c in range(i - n + 1, i) if c in bset))
+                 for i, kind in sorted(out))
 
 
 def ribbon_strips(la, n, k, sign=1, remove=False, after=None):

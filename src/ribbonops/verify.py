@@ -88,112 +88,99 @@ def _require_ribbons(n):
         raise ValueError(f"n must be >= 1, got {n}")
 
 
-def _witness(la, **kw):
-    return dict(kw, shape=format_partition(la))
+def _sweep(identity, n, params, max_size, shapes, cases):
+    """Tally every case of one identity over shapes, or all partitions up to max_size.
+
+    cases(la, v) yields (lhs, rhs, witness) for the basis vector v = la; a
+    failing case records its witness with the shape, lhs and rhs appended.
+    """
+    _require_ribbons(n)
+    t0 = time.perf_counter()
+    rep = VerificationReport(identity, n, params)
+    for la in (partitions_up_to(max_size) if shapes is None else shapes):
+        shape = format_partition(la)
+        for lhs, rhs, witness in cases(la, FockVec.basis(la)):
+            witness["shape"] = shape
+            rep.tally(lhs, rhs, witness)
+    rep.elapsed = time.perf_counter() - t0
+    return rep
 
 
 def check_relations(n, max_size, shapes=None):
     """Local relations of the u_i and the off-diagonal ud commutation."""
-    _require_ribbons(n)
-    t0 = time.perf_counter()
-    rep = VerificationReport("relations", n, {"max_size": max_size})
-    for la in (partitions_up_to(max_size) if shapes is None else shapes):
-        v = FockVec.basis(la)
+    zero = FockVec.zero()
+
+    def cases(la, v):
         lo, hi = diagonal_window(la, n, 2)
         for i in range(lo, hi + 1):
-            rep.tally(apply_u(i, n, apply_u(i, n, v)), FockVec.zero(),
-                      _witness(la, rule="u_i u_i = 0", i=i))
-            rep.tally(
-                apply_u(i + n, n, apply_u(i, n, apply_u(i + n, n, v))),
-                FockVec.zero(),
-                _witness(la, rule="u_{i+n} u_i u_{i+n} = 0", i=i))
-            rep.tally(
-                apply_u(i, n, apply_u(i + n, n, apply_u(i, n, v))),
-                FockVec.zero(),
-                _witness(la, rule="u_i u_{i+n} u_i = 0", i=i))
+            yield (apply_u(i, n, apply_u(i, n, v)), zero,
+                   {"rule": "u_i u_i = 0", "i": i})
+            yield (apply_u(i + n, n, apply_u(i, n, apply_u(i + n, n, v))), zero,
+                   {"rule": "u_{i+n} u_i u_{i+n} = 0", "i": i})
+            yield (apply_u(i, n, apply_u(i + n, n, apply_u(i, n, v))), zero,
+                   {"rule": "u_i u_{i+n} u_i = 0", "i": i})
             for j in range(lo, i):
-                ud = apply_u(i, n, apply_d(j, n, v))
-                du = apply_d(j, n, apply_u(i, n, v))
-                rep.tally(ud, du, _witness(la, rule="u_i d_j = d_j u_i", i=i, j=j))
-                ud = apply_u(j, n, apply_d(i, n, v))
-                du = apply_d(i, n, apply_u(j, n, v))
-                rep.tally(ud, du, _witness(la, rule="u_j d_i = d_i u_j", i=i, j=j))
+                yield (apply_u(i, n, apply_d(j, n, v)), apply_d(j, n, apply_u(i, n, v)),
+                       {"rule": "u_i d_j = d_j u_i", "i": i, "j": j})
+                yield (apply_u(j, n, apply_d(i, n, v)), apply_d(i, n, apply_u(j, n, v)),
+                       {"rule": "u_j d_i = d_i u_j", "i": i, "j": j})
                 uij = apply_u(i, n, apply_u(j, n, v))
                 uji = apply_u(j, n, apply_u(i, n, v))
                 if i - j > n:
-                    rep.tally(uij, uji,
-                              _witness(la, rule="far letters commute", i=i, j=j))
+                    yield uij, uji, {"rule": "far letters commute", "i": i, "j": j}
                 elif i - j < n:
-                    rep.tally(uij, uji * QPoly.q_power(2),
-                              _witness(la, rule="u_i u_j = q^2 u_j u_i", i=i, j=j))
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                    yield (uij, uji * QPoly.q_power(2),
+                           {"rule": "u_i u_j = q^2 u_j u_i", "i": i, "j": j})
+
+    return _sweep("relations", n, {"max_size": max_size}, max_size, shapes, cases)
 
 
 def check_h_commute(n, kmax, max_size, shapes=None):
     """Horizontal strip operators commute pairwise."""
-    _require_ribbons(n)
-    t0 = time.perf_counter()
-    rep = VerificationReport("hcommute", n, {"kmax": kmax, "max_size": max_size})
-    for la in (partitions_up_to(max_size) if shapes is None else shapes):
-        v = FockVec.basis(la)
+    def cases(la, v):
         for a in range(1, kmax + 1):
             for b in range(a + 1, kmax + 1):
-                lhs = apply_h(a, n, apply_h(b, n, v))
-                rhs = apply_h(b, n, apply_h(a, n, v))
-                rep.tally(lhs, rhs, _witness(la, a=a, b=b))
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                yield (apply_h(a, n, apply_h(b, n, v)), apply_h(b, n, apply_h(a, n, v)),
+                       {"a": a, "b": b})
+
+    return _sweep("hcommute", n, {"kmax": kmax, "max_size": max_size},
+                  max_size, shapes, cases)
 
 
 def check_cauchy(n, amax, bmax, max_size, shapes=None):
     """h_b^perp h_a = sum_i h_i(1, q^2, ..., q^(2n-2)) h_{a-i} h_{b-i}^perp."""
-    _require_ribbons(n)
-    t0 = time.perf_counter()
-    rep = VerificationReport(
-        "cauchy", n, {"amax": amax, "bmax": bmax, "max_size": max_size})
-    for la in (partitions_up_to(max_size) if shapes is None else shapes):
-        v = FockVec.basis(la)
+    def cases(la, v):
         for a in range(amax + 1):
             for b in range(bmax + 1):
-                lhs = apply_h_perp(b, n, apply_h(a, n, v))
                 rhs = FockVec.zero()
                 for i in range(min(a, b) + 1):
                     term = apply_h(a - i, n, apply_h_perp(b - i, n, v))
                     rhs = rhs + term * h_eval_at_q2(i, n)
-                rep.tally(lhs, rhs, _witness(la, a=a, b=b))
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                yield apply_h_perp(b, n, apply_h(a, n, v)), rhs, {"a": a, "b": b}
+
+    return _sweep("cauchy", n, {"amax": amax, "bmax": bmax, "max_size": max_size},
+                  max_size, shapes, cases)
 
 
 def check_heisenberg(n, kmax, max_size, shapes=None):
     """[B_k, B_l] = delta_{k,-l} k [n]_{q^(2|k|)} as operators."""
-    _require_ribbons(n)
-    t0 = time.perf_counter()
-    rep = VerificationReport("heisenberg", n, {"kmax": kmax, "max_size": max_size})
     ks = [k for k in range(-kmax, kmax + 1) if k != 0]
-    for la in (partitions_up_to(max_size) if shapes is None else shapes):
-        v = FockVec.basis(la)
+
+    def cases(la, v):
         for k in ks:
             for l in ks:
                 lhs = apply_B(k, n, apply_B(l, n, v)) - apply_B(l, n, apply_B(k, n, v))
-                if k == -l:
-                    rhs = v * heisenberg_scalar(k, n)
-                else:
-                    rhs = FockVec.zero()
-                rep.tally(lhs, rhs, _witness(la, k=k, l=l))
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                rhs = v * heisenberg_scalar(k, n) if k == -l else FockVec.zero()
+                yield lhs, rhs, {"k": k, "l": l}
+
+    return _sweep("heisenberg", n, {"kmax": kmax, "max_size": max_size},
+                  max_size, shapes, cases)
 
 
 def check_haction(n, jmax, max_size, shapes=None):
     """Diagonal operators: closed form of (u_i d_i)^j - (d_i u_i)^j and the
     q-integer values of their tail sums along the diagonal line."""
-    _require_ribbons(n)
-    t0 = time.perf_counter()
-    rep = VerificationReport("haction", n, {"jmax": jmax, "max_size": max_size})
-    for la in (partitions_up_to(max_size) if shapes is None else shapes):
-        v = FockVec.basis(la)
+    def cases(la, v):
         lo, hi = diagonal_window(la, n, 1)
         for j in range(1, jmax + 1):
             for i in range(lo, hi + 1):
@@ -201,19 +188,18 @@ def check_haction(n, jmax, max_size, shapes=None):
                 for _ in range(j):
                     ud = apply_d(i, n, apply_u(i, n, ud))
                     du = apply_u(i, n, apply_d(i, n, du))
-                rep.tally(du - ud, apply_diag(i, j, n, v),
-                          _witness(la, rule="closed form", i=i, j=j))
-            rep.tally(apply_diag_sum_from(lo, j, n, v),
-                      v * (-qbracket(n, 2 * j)),
-                      _witness(la, rule="full line", j=j))
+                yield du - ud, apply_diag(i, j, n, v), {"rule": "closed form", "i": i, "j": j}
+            yield (apply_diag_sum_from(lo, j, n, v), v * (-qbracket(n, 2 * j)),
+                   {"rule": "full line", "j": j})
             for s in ribbon_slots(la, n):
                 count = s.spin + 1 if s.kind == "add" else s.spin
-                rep.tally(apply_diag_sum_from(s.diagonal, j, n, v),
-                          v * (-qbracket(count, 2 * j)),
-                          _witness(la, rule=f"tail at {s.kind} slot",
-                                   i=s.diagonal, j=j, spin=s.spin))
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                yield (apply_diag_sum_from(s.diagonal, j, n, v),
+                       v * (-qbracket(count, 2 * j)),
+                       {"rule": f"tail at {s.kind} slot", "i": s.diagonal, "j": j,
+                        "spin": s.spin})
+
+    return _sweep("haction", n, {"jmax": jmax, "max_size": max_size},
+                  max_size, shapes, cases)
 
 
 # Insertion order is the order of `ribbonops verify --identity all`.

@@ -155,6 +155,45 @@ def lr_coefficient(nu, outer, inner):
     return hits
 
 
+def charge(word):
+    """Lascoux-Schutzenberger charge of a word whose content is a partition.
+
+    Peel off standard subwords: the rightmost 1, then the first 2 leftwards
+    of it, reading cyclically, and so on.  Each letter's index is that of
+    the one before, plus one when the search wrapped round; the charge sums
+    the indices over every subword.
+    """
+    letters = list(word)
+    total = 0
+    while letters:
+        picked, pos, index = [], len(letters), 0
+        for x in range(1, max(letters) + 1):
+            spots = [p for p, y in enumerate(letters) if y == x]
+            if not spots:
+                break
+            left = [p for p in spots if p < pos]
+            if not left:
+                index += 1
+            pos = max(left or spots)
+            total += index
+            picked.append(pos)
+        if not picked:
+            raise ValueError(f"the content of {word} is not a partition")
+        letters = [y for p, y in enumerate(letters) if p not in picked]
+    return total
+
+
+@cache
+def kostka_foulkes_by_charge(nu, mu):
+    """K_{nu,mu}(q): q^charge summed over SSYT(nu, mu), rows read bottom up."""
+    acc = {}
+    for filling in skew_fillings(nu, (), mu):
+        word = [filling[cell] for cell in sorted(filling, key=lambda rc: (-rc[0], rc[1]))]
+        c = charge(word)
+        acc[c] = acc.get(c, 0) + 1
+    return QPoly(acc)
+
+
 def schur_monomial_counts(outer, inner, size):
     """{mu: #SSYT of content mu} over partitions mu of the skew size."""
     return {mu: ssyt_count(outer, inner, mu) for mu in partitions_of(size)}

@@ -121,6 +121,20 @@ def test_add_then_remove_is_identity():
                 assert remove_ribbon(mu, s.diagonal, n) == (la, spin)
 
 
+def test_slots_are_the_window_probe():
+    shapes = list(partitions_up_to(10))
+    for n in range(1, 6):
+        for la in shapes:
+            lo, hi = diagonal_window(la, n, 1)
+            probe = []
+            for i in range(lo, hi + 1):
+                for kind, move in (("add", add_ribbon), ("remove", remove_ribbon)):
+                    if hit := move(la, i, n):
+                        probe.append((i, kind, hit[1]))
+            assert ribbon_slots(la, n) == tuple(probe), (la, n)
+    assert len(shapes) == 139
+
+
 @given(partitions(max_size=10), st.integers(min_value=2, max_value=4))
 @settings(max_examples=60)
 def test_slot_list_shape(la, n):

@@ -1,6 +1,14 @@
+from itertools import product
+
 import pytest
 
-from ribbonops.partitions import core_and_quotient, partitions_of, partitions_up_to, subpartitions
+from ribbonops.partitions import (
+    core_and_quotient,
+    from_core_and_quotient,
+    partitions_of,
+    partitions_up_to,
+    subpartitions,
+)
 from ribbonops.qlr import (
     QLRTable,
     nonnegativity_scan,
@@ -9,7 +17,7 @@ from ribbonops.qlr import (
     qlr_via_operators,
 )
 from ribbonops.qpoly import QPoly
-from oracles import lr_coefficient
+from oracles import kostka_foulkes_by_charge, lr_coefficient
 
 
 def test_worked_rectangle_table():
@@ -80,6 +88,38 @@ def test_tables_at_q1_count_littlewood_richardson_fillings_of_the_quotient():
             checked += 1
             nonzero += want != 0
     assert checked == 8814 and nonzero == 3010
+
+
+def test_kostka_foulkes_by_charge_golden_values():
+    assert kostka_foulkes_by_charge((2,), (1, 1)) == QPoly({1: 1})
+    want = {(4,): {6: 1}, (3, 1): {3: 1, 4: 1, 5: 1}, (2, 2): {2: 1, 4: 1},
+            (2, 1, 1): {1: 1, 2: 1, 3: 1}, (1, 1, 1, 1): {0: 1}}
+    for nu, coeffs in want.items():
+        assert kostka_foulkes_by_charge(nu, (1, 1, 1, 1)) == QPoly(coeffs), nu
+
+
+def test_single_row_quotients_give_hall_littlewood_by_charge():
+    # Lascoux-Leclerc-Thibon: for la with empty n-core and n-quotient
+    # ((r_0), ..., (r_{n-1})), c^nu_{la/0}(q) = q^inv(r) K_{nu,sort(r)}(q^2).
+    # The charge oracle shares no code with either route.
+    shapes = checked = nonzero = 0
+    for n, top in ((2, 12), (3, 9), (4, 7)):
+        for r in product(range(top + 1), repeat=n):
+            if sum(r) > top:
+                continue
+            la = from_core_and_quotient((), tuple((p,) if p else () for p in r), n)
+            mu = tuple(sorted((p for p in r if p), reverse=True))
+            inv = sum(r[i] > r[j] for i in range(n) for j in range(i + 1, n))
+            tables = (qlr_table_via_operators(la, (), n), qlr_via_expansion(la, (), n))
+            for nu in partitions_of(sum(r)):
+                k = kostka_foulkes_by_charge(nu, mu)
+                want = QPoly({inv + 2 * e: c for e, c in k.coeffs.items()})
+                for table in tables:
+                    assert table.entries[nu] == want, (r, n, nu)
+                checked += 1
+                nonzero += bool(want)
+            shapes += 1
+    assert (shapes, checked, nonzero) == (641, 10050, 2591)
 
 
 def test_single_coefficient_equals_the_table_entry():

@@ -1,6 +1,7 @@
 import pytest
 
 from ribbonops import verify
+from ribbonops.operators import apply_h_perp
 from ribbonops.partitions import partitions_up_to
 from ribbonops.qpoly import QPoly
 from ribbonops.verify import (
@@ -64,6 +65,57 @@ def test_a_sweep_with_no_cases_is_not_ok():
     assert empty.cases == 0 and not empty.ok
     assert empty.to_json()["ok"] is False
 
+
+
+def _doubled(op, first):
+    return lambda k, n, v: op(k, n, v) * 2 if k == first else op(k, n, v)
+
+
+# Per checker: the operator the fault replaces in verify, the faulty version,
+# then the report's params, cases, failure count and first failure at n = 2.
+FAULTS = {
+    "relations": ("apply_u", lambda op: lambda i, n, v: op(i, n, v) + v if i == 1 else op(i, n, v),
+                  {"max_size": 4}, 3025, 40,
+                  {"rule": "u_{i+n} u_i u_{i+n} = 0", "i": -1, "shape": "-",
+                   "lhs": "q·(2,1,1)", "rhs": "0"}),
+    "cauchy": ("apply_h", lambda op: _doubled(op, 1),
+               {"amax": 4, "bmax": 4, "max_size": 4}, 300, 93,
+               {"a": 1, "b": 1, "shape": "-", "lhs": "(2q^2 + 2)·(-)", "rhs": "(q^2 + 1)·(-)"}),
+    "heisenberg": ("apply_B", lambda op: _doubled(op, 1),
+                   {"kmax": 3, "max_size": 4}, 432, 24,
+                   {"k": -1, "l": 1, "shape": "-",
+                    "lhs": "(-2q^2 - 2)·(-)", "rhs": "(-q^2 - 1)·(-)"}),
+    "haction": ("apply_u", lambda op: _doubled(op, 1),
+                {"jmax": 2, "max_size": 4}, 320, 14,
+                {"rule": "closed form", "i": 1, "j": 1, "shape": "-",
+                 "lhs": "-2·(-)", "rhs": "-1·(-)"}),
+    # h_1 + h_1^perp no longer commutes with h_2
+    "hcommute": ("apply_h",
+                 lambda op: lambda k, n, v: op(k, n, v) + apply_h_perp(1, n, v) if k == 1
+                 else op(k, n, v),
+                 {"kmax": 4, "max_size": 4}, 72, 36,
+                 {"a": 1, "b": 2, "shape": "-",
+                  "lhs": "(q^3 + q)·(1,1) + (q^2 + 1)·(2) + q^3·(2,2,1,1) + q^2·(2,2,2)"
+                         " + q^2·(3,1,1,1) + (q^3 + q)·(3,3) + q·(4,1,1) + (q^2 + 1)·(4,2)"
+                         " + q·(5,1) + 1·(6)",
+                  "rhs": "q^3·(2,2,1,1) + q^2·(2,2,2) + q^2·(3,1,1,1) + (q^3 + q)·(3,3)"
+                         " + q·(4,1,1) + (q^2 + 1)·(4,2) + q·(5,1) + 1·(6)"}),
+}
+
+
+def test_every_checker_has_a_fault():
+    assert list(FAULTS) == list(CHECKERS)
+
+
+@pytest.mark.parametrize("name", list(FAULTS))
+def test_a_failing_case_records_its_witness(monkeypatch, name):
+    attr, fault, params, cases, count, first = FAULTS[name]
+    monkeypatch.setattr(verify, attr, fault(getattr(verify, attr)))
+    rep = run_identity(name, 2, 4)
+    assert rep.params == params
+    assert (rep.cases, len(rep.failures), rep.ok) == (cases, count, False)
+    assert list(rep.failures[0].items()) == list(first.items())
+    assert rep.to_json()["failures"][0] == first
 
 
 @pytest.mark.parametrize("call", [
