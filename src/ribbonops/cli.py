@@ -135,7 +135,7 @@ def _cmd_ribbonfn(args):
     f = ribbon_function(args.outer, args.inner, args.n)
     if args.format == "latex":
         raise ValueError("latex output is only wired for the schur basis")
-    terms = sorted(f.coeffs.items(), key=lambda t: (sum(t[0]), t[0]))
+    terms = sorted(f.items(), key=lambda t: (sum(t[0]), t[0]))
     if args.format == "json":
         _emit({"n": args.n, "outer": list(args.outer), "inner": list(args.inner),
                "basis": "monomial",

@@ -25,6 +25,7 @@ from functools import cache
 from .fock import FockVec, linear_map, signed_map
 from .partitions import (
     add_ribbon,
+    hook_strips,
     horizontal_strips,
     parse_partition,
     remove_ribbon,
@@ -143,9 +144,7 @@ def _B_moves(la, n, k):
     for b in range(m):
         sign = -1 if b % 2 else 1
         if k < 0:
-            hits = ((mu, leg_spin + arm_spin)
-                    for low, leg_spin, leg in ribbon_strips(la, n, b + 1, sign=-1)
-                    for mu, arm_spin, _ in ribbon_strips(low, n, m - b - 1, after=leg[-1]))
+            hits = ((mu, spin) for mu, spin, _ in hook_strips(la, n, m - b, b))
         else:
             hits = ((mu, arm_spin + leg_spin)
                     for mid, arm_spin, arm in ribbon_strips(la, n, m - b, sign=-1, remove=True)

@@ -10,6 +10,7 @@ the ribbon minus one) counts the members of S strictly between i-n and i.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cache
 from operator import le
 from typing import NamedTuple
@@ -175,15 +176,17 @@ def ribbon_slots(la, n):
     Every member above -len(la) - n - 1 lies among the first len(la) + n, so
     those hold both ends of every slot and every member between them.
     """
-    bset = set(_beta(la, len(la) + n))
+    members = _beta(la, len(la) + n)[::-1]  # ascending
+    bset = set(members)
     out = []
-    for b in bset:
+    for b in members:
         if b + n not in bset:
             out.append((b + n, "add"))
         # every integer below -len(la) is a member, listed here or not
         if b - n not in bset and b >= n - len(la):
             out.append((b, "remove"))
-    return tuple(RibbonSlot(i, kind, sum(1 for c in range(i - n + 1, i) if c in bset))
+    # the spin counts the members strictly between i - n and i
+    return tuple(RibbonSlot(i, kind, bisect_left(members, i) - bisect_right(members, i - n))
                  for i, kind in sorted(out))
 
 
@@ -212,6 +215,19 @@ def ribbon_strips(la, n, k, sign=1, remove=False, after=None):
                     grown.append((nxt, spin + sp, heads + (s.diagonal,)))
         level = grown
     return level
+
+
+def hook_strips(la, n, a, b):
+    """(mu, spin, heads) over the hook-formula words of (a, 1^b) on la, a >= 1.
+
+    The leg goes on first, b + 1 ribbons with descending heads, then the arm,
+    a - 1 ribbons with ascending heads after the last leg head; heads lists
+    them in that order and spin is their total.  A generator: its callers
+    read it once, and B_{-k} never holds all of its words at a time.
+    """
+    for low, leg_spin, leg in ribbon_strips(la, n, b + 1, sign=-1):
+        for mu, arm_spin, arm in ribbon_strips(low, n, a - 1, after=leg[-1]):
+            yield mu, leg_spin + arm_spin, leg + arm
 
 
 @cache

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .fock import linear_map
-from .partitions import add_ribbon, conjugate, ribbon_strips
+from .partitions import add_ribbon, conjugate, hook_strips, ribbon_strips
 from .tableaux import RibbonTableau
 
 
@@ -111,15 +111,11 @@ def _hook_words(la, a, b, n):
     """(product word, mu, spin) for hook-formula words acting nonzero on la.
 
     The leg goes first with strictly descending heads, then the arm with
-    ascending heads starting below the last leg head.  So the heads descend
-    through the leg and the first arm head, then ascend from there.  Not
-    memoized: formula_words reads every (la, nu) once.
+    ascending heads starting below the last leg head (partitions.hook_strips).
+    So the heads descend through the leg and the first arm head, then ascend
+    from there.  Not memoized: formula_words reads every (la, nu) once.
     """
-    out = []
-    for low_mu, low_spin, down in ribbon_strips(la, n, b + 1, sign=-1):
-        for mu, spin, up in ribbon_strips(low_mu, n, a - 1, after=down[-1]):
-            out.append((tuple(reversed(down + up)), mu, low_spin + spin))
-    return tuple(out)
+    return tuple((heads[::-1], mu, spin) for mu, spin, heads in hook_strips(la, n, a, b))
 
 
 def _s2_words(la, s, n, sign):
@@ -236,5 +232,6 @@ def yamanouchi_tableaux(nu, outer, inner, n):
                 total += sp
             chain.append(cur)
         assert cur == tuple(outer) and total == spin
-        found.append(RibbonTableau(tuple(outer), tuple(inner), n, tuple(chain), spin))
+        heads = tuple(map(tuple, runs))
+        found.append(RibbonTableau(tuple(outer), tuple(inner), n, tuple(chain), spin, heads))
     return found

@@ -6,15 +6,16 @@ the Schur expansion of the ribbon spin generating function.  The routes
 share the single-ribbon kernel and the horizontal strip search
 (partitions.horizontal_strips), which tests/oracles.py checks against a
 cell-level tiling: the operator route adds strips to inner, the expansion
-route removes them from outer, and it also counts its Kostka numbers with
-the n = 1 strips.  Everything above that differs (Jacobi-Trudi determinant
-signs vs tableau chains plus Kostka inversion), which is what makes their
-agreement a real check.  Each route computes the whole table of a skew
-shape, and a single coefficient is one entry of it.  The operator route
-reads each pairing <h_alpha . inner, outer> once per table and sums every
-nu's Jacobi-Trudi terms from those reads; the expansion route reads one
-chain table per outer shape and weight, shared by every inner shape and
-every smaller outer shape, and converts it to the Schur basis.
+route removes them from outer.  Everything above that differs (Jacobi-Trudi
+determinant signs vs tableau chains plus Kostka inversion), which is what
+makes their agreement a real check.  Each route computes the whole table of
+a skew shape, and a single coefficient is one entry of it.  The operator
+route reads each pairing <h_alpha . inner, outer> once per table and sums
+every nu's Jacobi-Trudi terms from those reads, and never touches the chain
+table.  The expansion route reads one chain table per outer shape and
+weight, shared by every inner shape and every smaller outer shape, as a
+plain {partition: QPoly} monomial dict, and converts it to the Schur basis
+with Kostka numbers read from the same chain table at n = 1.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ from .tableaux import ribbon_function
 def qlr_via_operators(nu, outer, inner, n):
     """<s_nu(u) . inner, outer>: the nu entry of the operator-route table."""
     nu = tuple(nu)
+    if not is_partition(nu):
+        raise ValueError(f"nu {nu} is not a partition")
     if sum(outer) - sum(inner) != n * sum(nu):
         warnings.warn(
             f"skew size {sum(outer) - sum(inner)} != {n}*|{nu}|; pairing is identically zero",
             stacklevel=2)
         return QPoly.zero()
-    if not is_partition(nu):
-        raise ValueError(f"nu {nu} is not a partition")
     return qlr_table_via_operators(outer, inner, n).coefficient(nu)
 
 
@@ -115,8 +116,9 @@ class QLRTable:
 
 def qlr_via_expansion(outer, inner, n):
     """Schur expansion of the ribbon spin generating function, as a table."""
-    f = to_schur_basis(ribbon_function(outer, inner, n))
-    return QLRTable(tuple(outer), tuple(inner), n, dict(f.coeffs))
+    monomial = ribbon_function(outer, inner, n)  # checks n divides the skew size
+    degree = (sum(outer) - sum(inner)) // n
+    return QLRTable(tuple(outer), tuple(inner), n, to_schur_basis(monomial, degree))
 
 
 def qlr_table_via_operators(outer, inner, n):

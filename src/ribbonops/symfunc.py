@@ -1,23 +1,24 @@
 """Symmetric function bookkeeping over Z.
 
-Everything here is classical combinatorics of symmetric functions: skew
-schur and elementary functions expanded by Jacobi-Trudi into products of
-complete homogeneous functions (so they can be pushed through any algebra
-where the h_k commute), Kostka numbers, the unitriangular monomial -> Schur
-basis change, and h_i at (1, q^2, ..., q^(2(n-1))).  Power sums are not
-here: p_k(u) is the Heisenberg generator operators.apply_B.
-h-products are recorded as dicts {sorted tuple of parts: int coefficient}.
-Kostka numbers count the n = 1 strips of partitions.horizontal_strips, so
-there is no strip search here; within the package only the expansion route
-reads them, through to_schur_basis.
+Skew schur and elementary functions expanded by Jacobi-Trudi into products
+of complete homogeneous functions (so they can be pushed through any
+algebra where the h_k commute), and h_i at (1, q^2, ..., q^(2(n-1))).
+Power sums are not here: p_k(u) is the Heisenberg generator
+operators.apply_B.  h-products are recorded as dicts {sorted tuple of
+parts: int coefficient}.
+
+The one step of the expansion route kept here, to_schur_basis, works on
+plain {partition: QPoly} dicts and reads its Kostka numbers from the chain
+table of tableaux at n = 1, so there is no strip search here either.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .partitions import horizontal_strips, partitions_of
+from .partitions import partitions_of
 from .qpoly import QPoly
+from .tableaux import _chains_below
 
 
 @cache
@@ -69,68 +70,29 @@ def elementary_in_h(k):
     return schur_in_h((1,) * k) if k >= 0 else {}
 
 
-@cache
-def kostka(nu, rho):
-    """Number of semistandard tableaux of shape nu and content rho.
+def to_schur_basis(coeffs, degree):
+    """{nu: QPoly} in the monomial basis -> {nu: QPoly} in the Schur basis.
 
-    The cells holding the largest letter form a horizontal strip: at n = 1 a
-    ribbon is a box with spin 0, so these are the 1-ribbon strips that
-    h_k^perp removes, each exactly once.
+    Inverts the unitriangular Kostka matrix.  K(mu, nu) counts the chains
+    of n = 1 removal strips of sizes nu[-1], nu[-2], ... from mu down to the
+    empty partition, each of spin 0, so it is read off the chain table of
+    tableaux.  partitions_of runs in reverse-lex order, a linear extension
+    of dominance, and K(mu, nu) != 0 only when mu dominates nu, so plain
+    forward substitution is exact over Z, run on raw {exponent: int} dicts.
+    Zero coefficients are dropped.
     """
-    if sum(nu) != sum(rho):
-        return 0
-    if not rho:
-        return 1 if not nu else 0
-    return sum(kostka(mu, rho[:-1]) for mu, _ in horizontal_strips(nu, 1, rho[-1], remove=True))
-
-
-class SymFunc:
-    """Homogeneous symmetric function with QPoly coefficients, in basis 'm' or 's'."""
-
-    def __init__(self, basis, degree, coeffs):
-        if basis not in ("m", "s"):
-            raise ValueError("basis must be 'm' or 's'")
-        self.basis = basis
-        self.degree = degree
-        self.coeffs = {nu: c for nu, c in coeffs.items() if c}
-
-    def coefficient(self, nu):
-        return self.coeffs.get(nu, QPoly.zero())
-
-    def to_pairs(self):
-        order = partitions_of(self.degree)
-        return [[list(nu), self.coeffs[nu].to_pairs()] for nu in order if nu in self.coeffs]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymFunc)
-            and self.basis == other.basis
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-
-def to_schur_basis(f):
-    """Invert the unitriangular Kostka matrix: basis 'm' -> basis 's'.
-
-    partitions_of runs in reverse-lex order, a linear extension of dominance,
-    and K(nu, rho) != 0 only when nu dominates rho, so plain forward
-    substitution is exact over Z, run on raw {exponent: int} dicts.
-    """
-    if f.basis == "s":
-        return f
     out = {}
-    for nu in partitions_of(f.degree):
-        acc = dict(f.coeffs[nu].coeffs) if nu in f.coeffs else {}
+    for nu in partitions_of(degree):
+        acc = dict(coeffs[nu].coeffs) if nu in coeffs else {}
         for mu, cm in out.items():
-            k = kostka(mu, nu)
+            k = _chains_below(mu, 1, nu).get((), {}).get(0, 0)
             if k:
                 for e, x in cm.coeffs.items():
                     acc[e] = acc.get(e, 0) - k * x
         c = QPoly(acc)
         if c:
             out[nu] = c
-    return SymFunc("s", f.degree, out)
+    return out
 
 
 @cache

@@ -4,52 +4,37 @@ A ribbon tableau of shape outer/inner and weight (w_1, ..., w_r) is a chain
 of partitions from inner to outer whose t-th step adds a horizontal strip of
 w_t n-ribbons; its spin is the total ribbon spin.  The generating function
 collecting q^spin by weight is symmetric, so it is expanded over monomial
-coefficients indexed by partitions; symfunc.to_schur_basis converts it to
-the Schur basis through the Kostka matrix.
+coefficients indexed by partitions, as a plain {partition: QPoly} dict;
+symfunc.to_schur_basis converts it to the Schur basis.
 
 Every strip search here stays inside the shape being filled.  The one memo
 table, _chains_below(la, n, weight), runs top down: it holds the spin
 counts of every chain that removes strips of weight[-1], weight[-2], ...
 from la, by the partition the chain ends at.  A prefix of a partition is a
 partition, so the table a top-level call for la fills is the table of
-every smaller outer shape as well.  strip_heads also removes strips, and
-so does enumerate_tableaux: one backward pass from the outer shape keeps
-each level's removal strips, and the chains are read forward along them.
+every smaller outer shape as well.  At n = 1 every spin is 0 and the count
+of chains from mu down to () is the Kostka number K(mu, weight).
+enumerate_tableaux also removes strips: one backward pass from the outer
+shape keeps each level's removal strips, and the chains are read forward
+along them.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .partitions import (
-    added_cells,
-    contains,
-    horizontal_strips,
-    partitions_of,
-    ribbon_strips,
-)
+from .partitions import added_cells, contains, horizontal_strips, partitions_of, ribbon_strips
 from .qpoly import QPoly
-from .symfunc import SymFunc
-
-
-def strip_heads(mu, la, n):
-    """Ascending head diagonals tiling la/mu as a horizontal strip, else None."""
-    size = sum(la) - sum(mu)
-    if size % n or not contains(la, mu):
-        return None
-    for nu, _, heads in ribbon_strips(la, n, size // n, -1, remove=True):
-        if nu == mu:
-            return heads[::-1]
-    return None
 
 
 class RibbonTableau:
-    def __init__(self, outer, inner, n, chain, spin):
+    def __init__(self, outer, inner, n, chain, spin, heads):
         self.outer = outer
         self.inner = inner
         self.n = n
         self.chain = chain  # partitions from inner to outer, one per strip
         self.spin = spin
+        self.heads = heads  # per strip, the head diagonals in ascending order
 
     @property
     def weight(self):
@@ -59,11 +44,7 @@ class RibbonTableau:
 
     def tiles(self):
         """[(strip index, head diagonal)] with strips numbered from 1."""
-        out = []
-        for t, (a, b) in enumerate(zip(self.chain, self.chain[1:]), start=1):
-            for d in strip_heads(a, b, self.n):
-                out.append((t, d))
-        return out
+        return [(t, d) for t, heads in enumerate(self.heads, start=1) for d in heads]
 
     def cell_labels(self):
         """{(row, col): strip index} over the cells of outer/inner."""
@@ -101,12 +82,12 @@ class RibbonTableau:
 
 def enumerate_tableaux(outer, inner, n, weight):
     """All ribbon tableaux of shape outer/inner with the given weight composition."""
+    if any(w < 0 for w in weight):
+        raise ValueError("weight entries must be >= 0")
     if not contains(outer, inner):
         raise ValueError("inner partition not contained in outer")
     if sum(outer) - sum(inner) != n * sum(weight):
         return []
-    if any(w < 0 for w in weight):
-        raise ValueError("weight entries must be >= 0")
     # One backward pass from outer: up[t][mu] holds (heads, la, spin) for
     # each strip la/mu of weight[t] ribbons whose la is outer or reached at
     # level t + 1, with its heads ascending, as they would be added to mu.
@@ -122,15 +103,15 @@ def enumerate_tableaux(outer, inner, n, weight):
         level = up[t]
     found = []
 
-    def rec(cur, idx, chain, spin):
+    def rec(cur, idx, chain, spin, heads):
         if idx == len(weight):
-            found.append(RibbonTableau(outer, inner, n, chain, spin))
+            found.append(RibbonTableau(outer, inner, n, chain, spin, heads))
             return
         # by heads: the order in which horizontal_strips adds the strips to cur
-        for _, la, sp in sorted(up[idx].get(cur, ())):
-            rec(la, idx + 1, chain + (la,), spin + sp)
+        for hs, la, sp in sorted(up[idx].get(cur, ())):
+            rec(la, idx + 1, chain + (la,), spin + sp, heads + (hs,))
 
-    rec(inner, 0, (inner,), 0)
+    rec(inner, 0, (inner,), 0, ())
     return found
 
 
@@ -160,16 +141,15 @@ def weight_poly(outer, inner, n, weight):
 
 
 def ribbon_function(outer, inner, n):
-    """Spin generating function of outer/inner in the monomial basis."""
+    """Spin generating function of outer/inner as {partition: QPoly} monomial coefficients."""
     size = sum(outer) - sum(inner)
     if size % n:
         raise ValueError(f"skew size {size} is not a multiple of {n}")
     if not contains(outer, inner):
         raise ValueError("inner partition not contained in outer")
-    m = size // n
     coeffs = {}
-    for nu in partitions_of(m):
+    for nu in partitions_of(size // n):
         counts = _chains_below(outer, n, nu).get(inner)
         if counts:
             coeffs[nu] = QPoly(counts)
-    return SymFunc("m", m, coeffs)
+    return coeffs

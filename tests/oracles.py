@@ -6,9 +6,10 @@ agreement test actually compares two different computations.  The rest are
 the library's earlier algorithms, kept as oracles for their replacements:
 the Jacobi-Trudi determinant by permutations, the power sums and the
 Heisenberg generators by Newton's identity, the rank over Q(q) by Bareiss
-elimination and the ribbon tableau weight polynomials by a forward strip
-search; and helpers only tests read: Fock and monomial coefficients and the
-positive formula's polynomial.
+elimination, the ribbon tableau weight polynomials by a forward strip
+search and the strip heads of a tableau by a removal strip search; and
+helpers only tests read: Fock and monomial coefficients (the latter through
+filling counts) and the positive formula's polynomial.
 """
 
 from collections import deque
@@ -17,10 +18,9 @@ from itertools import permutations
 
 from ribbonops.fock import FockVec
 from ribbonops.operators import apply_expansion, apply_h_perp
-from ribbonops.partitions import cells, contains, horizontal_strips, partitions_of
+from ribbonops.partitions import cells, contains, horizontal_strips, partitions_of, ribbon_strips
 from ribbonops.positive import formula_words
 from ribbonops.qpoly import QPoly
-from ribbonops.symfunc import SymFunc, kostka
 
 
 def is_ribbon(cellset):
@@ -370,18 +370,29 @@ def coefficient(v, la):
     return v.terms.get(la, QPoly.zero())
 
 
-def to_monomial_basis(f):
-    """A SymFunc in the monomial basis, through the Kostka matrix."""
-    if f.basis == "m":
-        return f
+def to_monomial_basis(coeffs, degree):
+    """{nu: QPoly} in the Schur basis -> the monomial basis, by counting fillings."""
     out = {}
-    for nu, c in f.coeffs.items():
-        for rho in partitions_of(f.degree):
-            k = kostka(nu, rho)
+    for nu, c in coeffs.items():
+        for rho in partitions_of(degree):
+            k = kostka_count(nu, rho)
             if k:
-                prev = out.get(rho, QPoly.zero())
-                out[rho] = prev + c * k
-    return SymFunc("m", f.degree, out)
+                out[rho] = out.get(rho, QPoly.zero()) + c * k
+    return {rho: c for rho, c in out.items() if c}
+
+
+def strip_heads(mu, la, n):
+    """Ascending head diagonals tiling la/mu as a horizontal strip, else None.
+
+    Searches the removal strips of la, as RibbonTableau.tiles once did.
+    """
+    size = sum(la) - sum(mu)
+    if size % n or not contains(la, mu):
+        return None
+    for nu, _, heads in ribbon_strips(la, n, size // n, -1, remove=True):
+        if nu == mu:
+            return heads[::-1]
+    return None
 
 
 def formula_polynomial(nu, outer, inner, n):

@@ -15,7 +15,7 @@ from ribbonops import cli, verify
 from ribbonops.cli import main
 from ribbonops.partitions import format_partition, horizontal_strips, partitions_up_to
 from ribbonops.qpoly import QPoly
-from ribbonops.tableaux import strip_heads
+from oracles import strip_heads
 
 
 def run(capsys, *argv):

@@ -1,0 +1,55 @@
+"""The package's memo tables, pinned by name.
+
+Adding or dropping an @cache table changes what a long sweep keeps in
+memory, so it should be a visible edit of EXPECTED, not a side effect.
+"""
+
+import importlib
+import pkgutil
+
+import ribbonops
+from ribbonops import operators, tableaux
+from ribbonops.qlr import qlr_table_via_operators
+
+EXPECTED = {
+    ("partitions", "partitions_of"),
+    ("partitions", "add_ribbon"),
+    ("partitions", "remove_ribbon"),
+    ("partitions", "ribbon_slots"),
+    ("partitions", "horizontal_strips"),
+    ("symfunc", "skew_schur_in_h"),
+    ("symfunc", "h_eval_at_q2"),
+    ("operators", "_h_vector"),
+    ("operators", "_B_moves"),
+    ("tableaux", "_chains_below"),
+}
+
+
+def memo_tables():
+    """{(module, name): memoized function} over every ribbonops module, each imported."""
+    out = {}
+    for info in pkgutil.iter_modules(ribbonops.__path__):
+        mod = importlib.import_module(f"ribbonops.{info.name}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == mod.__name__:
+                out[info.name, name] = obj
+    return out
+
+
+def test_the_memo_tables_are_pinned():
+    modules = {info.name for info in pkgutil.iter_modules(ribbonops.__path__)}
+    assert {"cli", "positive", "verify"} <= modules
+    assert set(memo_tables()) == EXPECTED
+    assert len(EXPECTED) == 10
+
+
+def test_operator_route_leaves_the_chain_table_empty():
+    # the two q-LR routes stay independent: Jacobi-Trudi over h-strips only
+    for fn in memo_tables().values():
+        fn.cache_clear()
+    tables = [qlr_table_via_operators(outer, inner, n)
+              for outer, inner, n in (((4, 4, 4), (), 3), ((9, 5, 2, 1, 1), (), 2),
+                                      ((5, 4, 3), (2, 1), 3), ((3, 3), (), 1))]
+    assert all(any(t.entries.values()) for t in tables)
+    assert operators._h_vector.cache_info().currsize > 0
+    assert tableaux._chains_below.cache_info().currsize == 0

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -133,6 +134,18 @@ def test_slots_are_the_window_probe():
                         probe.append((i, kind, hit[1]))
             assert ribbon_slots(la, n) == tuple(probe), (la, n)
     assert len(shapes) == 139
+
+
+def test_slots_of_a_long_ribbon_are_fast():
+    # one slot per head diagonal for (2, 1) and n >= 3; each spin is read by
+    # bisection over the members, not by walking the n - 1 diagonals between
+    n = 20000
+    t0 = time.perf_counter()
+    slots = ribbon_slots((2, 1), n)
+    elapsed = time.perf_counter() - t0
+    assert len(slots) == n
+    assert slots[0] == (-2, "add", n - 1) and slots[-1] == (n + 1, "add", 0)
+    assert elapsed < 5.0, elapsed
 
 
 @given(partitions(max_size=10), st.integers(min_value=2, max_value=4))

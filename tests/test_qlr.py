@@ -173,6 +173,12 @@ def test_single_coefficient_rejects_a_composition(nu):
         qlr_via_operators(nu, (4, 4), (), 2)
 
 
+def test_composition_is_rejected_before_the_size_check():
+    # of the wrong size, a composition still raises rather than warning
+    with pytest.raises(ValueError):
+        qlr_via_operators((1, 2), (2, 2), (), 2)
+
+
 def test_table_rejects_indivisible_size():
     with pytest.raises(ValueError):
         qlr_table_via_operators((2, 2), (1,), 2)

@@ -1,5 +1,7 @@
 from itertools import permutations
 
+import pytest
+
 from ribbonops import tableaux
 from ribbonops.fock import FockVec
 from ribbonops.operators import apply_h
@@ -12,10 +14,9 @@ from ribbonops.tableaux import (
     enumerate_tableaux,
     horizontal_strips,
     ribbon_function,
-    strip_heads,
     weight_poly,
 )
-from oracles import schur_monomial_counts, weight_poly_forward
+from oracles import schur_monomial_counts, strip_heads, weight_poly_forward
 
 
 def compositions(m):
@@ -126,6 +127,25 @@ def test_enumeration_walks_one_backward_pass():
         assert total == weight_poly_forward(outer, inner, n, weight), (outer, inner, n, weight)
 
 
+def test_tableau_heads_are_the_strip_tilings():
+    # the heads a tableau is built with are those a removal strip search
+    # finds for each strip, from enumerate_tableaux and yamanouchi_tableaux
+    from ribbonops.positive import _classify, yamanouchi_tableaux
+
+    tabs, yama = [], []
+    for outer, inner, n in (((4, 4, 4), (), 3), ((6, 4, 2), (2,), 2), ((4, 4, 2, 2), (), 2)):
+        m = (sum(outer) - sum(inner)) // n
+        for weight in compositions(m):
+            tabs += enumerate_tableaux(outer, inner, n, weight)
+        for nu in partitions_of(m):
+            if _classify(nu):
+                yama += yamanouchi_tableaux(nu, outer, inner, n)
+    assert (len(tabs), len(yama)) == (724, 14)
+    for t in tabs + yama:
+        want = tuple(strip_heads(a, b, t.n) for a, b in zip(t.chain, t.chain[1:]))
+        assert t.heads == want, t.chain
+
+
 def test_tableau_count_matches_weight_poly():
     outer, n = (4, 4, 4), 3
     for nu in partitions_of(4):
@@ -140,11 +160,15 @@ def test_tableau_count_matches_weight_poly():
 
 def test_worked_five_strip_tableau():
     chain = ((), (5, 1), (5, 2, 2), (5, 5, 4, 3, 1), (7, 6, 4, 3, 1))
-    t = RibbonTableau((7, 6, 4, 3, 1), (), 3, chain, 7)
+    heads = tuple(strip_heads(a, b, 3) for a, b in zip(chain, chain[1:]))
+    t = RibbonTableau((7, 6, 4, 3, 1), (), 3, chain, 7, heads)
     assert t.weight == (2, 1, 3, 1)
-    assert t.tiles() == [
-        (1, 1), (1, 4), (2, 0), (3, -2), (3, 1), (3, 3), (4, 6),
-    ]
+    tiles = [(1, 1), (1, 4), (2, 0), (3, -2), (3, 1), (3, 3), (4, 6)]
+    assert t.tiles() == tiles
+    # the enumeration carries the same heads from its own strip search
+    (found,) = [u for u in enumerate_tableaux((7, 6, 4, 3, 1), (), 3, (2, 1, 3, 1))
+                if u.chain == chain]
+    assert found.heads == heads and found.tiles() == tiles
     assert t.ascii_art() == "\n".join([
         "1 1 1 1 1 4 4",
         "1 2 3 3 3 4",
@@ -175,24 +199,29 @@ def test_skew_enumeration_respects_inner_boundary():
         assert (1, 1) not in labels and (1, 2) not in labels
 
 
+@pytest.mark.parametrize("weight", [(-1, 2), (-1, 3)])
+def test_negative_weight_is_rejected_before_the_size_check(weight):
+    # (-1, 2) fills the shape's two cells, (-1, 3) would not: both raise
+    with pytest.raises(ValueError):
+        enumerate_tableaux((2,), (), 2, weight)
+
+
 def test_ribbon_function_degree_and_conservation():
     # coefficients of a fixed weight sum to the strip counts regardless of order
     f = ribbon_function((4, 4, 4), (), 3)
-    assert f.degree == 4 and f.basis == "m"
-    g = to_schur_basis(f)
-    assert g.basis == "s"
+    assert set(f) <= set(partitions_of(4))
+    g = to_schur_basis(f, 4)
+    assert set(g) <= set(partitions_of(4))
     # evaluating the schur expansion at q = 1 must count all tableaux of
     # every standard weight: cross-check one entry against enumeration
     count = sum(len(enumerate_tableaux((4, 4, 4), (), 3, nu)) for nu in [(1, 1, 1, 1)])
-    assert f.coefficient((1, 1, 1, 1)).evaluate(1) == count
+    assert f[(1, 1, 1, 1)].evaluate(1) == count
 
 
 def test_single_ribbons_give_q_spin():
     # weight (1): one ribbon, polynomial collects q^spin over single additions
-    f = ribbon_function((2, 1), (), 3)
-    assert f.coefficient((1,)) == QPoly({1: 1})
-    f = ribbon_function((3,), (), 3)
-    assert f.coefficient((1,)) == QPoly.one()
+    assert ribbon_function((2, 1), (), 3) == {(1,): QPoly({1: 1})}
+    assert ribbon_function((3,), (), 3) == {(1,): QPoly.one()}
 
 
 def test_n1_ribbon_functions_are_skew_schur():
@@ -207,4 +236,4 @@ def test_n1_ribbon_functions_are_skew_schur():
                 continue
             counts = schur_monomial_counts(outer, inner, size)
             for nu in partitions_of(size):
-                assert f.coefficient(nu) == QPoly({0: counts.get(nu, 0)}), (outer, inner, nu)
+                assert f.get(nu, QPoly.zero()) == QPoly({0: counts.get(nu, 0)}), (outer, inner, nu)
