@@ -421,6 +421,9 @@ def main(argv=None):
     if getattr(args, "command", None) == "verify" and args.identity != "dimension":
         if args.max_size is None:
             args.max_size = 8
+        elif args.max_size < 0:
+            print(f"error: --max-size must be >= 0, got {args.max_size}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except ValueError as e:  # positive.UnsupportedShapeError included

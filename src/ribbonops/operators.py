@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from functools import cache
 
-from .fock import FockVec, linear_map, signed_map
+from .fock import FockVec, _scatter, linear_map, signed_map
 from .partitions import (
     add_ribbon,
     hook_strips,
@@ -32,7 +32,7 @@ from .partitions import (
     ribbon_slots,
     ribbon_strips,
 )
-from .qpoly import qbracket
+from .qpoly import frozen, qbracket, terms
 from .symfunc import elementary_in_h, schur_in_h, skew_schur_in_h
 
 
@@ -75,10 +75,20 @@ def apply_h_perp(k, n, v):
 
 @cache
 def _h_vector(la, n, alpha):
-    """h_alpha . la with the rightmost factor applied first, memoized per basis."""
+    """h_alpha . la with the rightmost factor applied first, memoized per basis.
+
+    The vector is a plain {mu: flat int tuple} dict (see qpoly.frozen), so
+    the table holds nothing the garbage collector has to walk; each factor
+    is one scatter over the strips of the vector before it.
+    """
     if not alpha:
-        return FockVec.basis(la)
-    return apply_h(alpha[0], n, _h_vector(la, n, alpha[1:]))
+        return {la: (0, 1)}
+    if len(alpha) == 1:  # distinct strips end at distinct shapes
+        return {mu: (sp, 1) for mu, sp in horizontal_strips(la, n, alpha[0])}
+    acc = {}
+    for mu, flat in _h_vector(la, n, alpha[1:]).items():
+        _scatter(acc, dict(terms(flat)), horizontal_strips(mu, n, alpha[0]))
+    return {mu: frozen(d) for mu, d in acc.items()}
 
 
 def _grouped(tally):
@@ -100,8 +110,8 @@ def apply_expansion(expansion, n, v):
     def moves(la):
         tally = {}
         for alpha, c in expansion.items():
-            for mu, p in _h_vector(la, n, alpha).terms.items():
-                for e, x in p.coeffs.items():
+            for mu, flat in _h_vector(la, n, alpha).items():
+                for e, x in terms(flat):
                     tally[mu, e] = tally.get((mu, e), 0) + c * x
         return _grouped(tally)
 

@@ -15,7 +15,12 @@ every nu's Jacobi-Trudi terms from those reads, and never touches the chain
 table.  The expansion route reads one chain table per outer shape and
 weight, shared by every inner shape and every smaller outer shape, as a
 plain {partition: QPoly} monomial dict, and converts it to the Schur basis
-with Kostka numbers read from the same chain table at n = 1.
+with Kostka numbers read from the same chain table at n = 1.  Both memo
+tables, operators._h_vector and tableaux._chains_below, hold their
+polynomials as flat int tuples (qpoly.frozen), which CPython's cyclic
+garbage collector untracks, so a long sweep's tables neither lengthen
+each collection nor trigger more of them; each route decodes a value once
+per read.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import warnings
 
 from .operators import _h_vector
 from .partitions import is_partition, partitions_of, partitions_up_to, subpartitions
-from .qpoly import QPoly
+from .qpoly import QPoly, terms
 from .symfunc import schur_in_h, to_schur_basis
 from .tableaux import ribbon_function
 
@@ -133,14 +138,14 @@ def qlr_table_via_operators(outer, inner, n):
     nus = partitions_of(size // n)
     hits = {}
     for alpha in nus:
-        hit = _h_vector(inner, n, alpha).terms.get(outer)
+        hit = _h_vector(inner, n, alpha).get(outer)
         if hit:
-            hits[alpha] = hit.coeffs
+            hits[alpha] = tuple(terms(hit))
     entries = {}
     for nu in nus if hits else ():
         acc = {}
         for alpha, c in schur_in_h(nu).items():
-            for e, x in hits.get(alpha, {}).items():
+            for e, x in hits.get(alpha, ()):
                 acc[e] = acc.get(e, 0) + c * x
         entries[nu] = QPoly(acc)
     return QLRTable(tuple(outer), tuple(inner), n, entries)

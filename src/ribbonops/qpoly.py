@@ -5,6 +5,13 @@ zeros.  Instances are treated as immutable values: every arithmetic
 operation returns a fresh QPoly, and hashing is allowed.  Exponents may be
 any integers, although every quantity produced by this library (spin
 weights, Heisenberg scalars) has nonnegative exponents.
+
+The memo tables that grow through a long sweep (operators._h_vector and
+tableaux._chains_below) do not hold QPoly instances.  They keep each
+polynomial as a flat tuple of ints (e0, c0, e1, c1, ...): immutable, one
+allocation, and untracked by CPython's cyclic garbage collector once a
+collection has seen it, so those tables add nothing to the work of each
+collection.  frozen() writes that form and terms() reads it.
 """
 
 from __future__ import annotations
@@ -144,3 +151,14 @@ class QPoly:
 def qbracket(count, step=1):
     """1 + q^step + q^(2 step) + ... with `count` terms."""
     return QPoly({i * step: 1 for i in range(count)})
+
+
+def frozen(coeffs):
+    """A raw {exponent: coefficient} dict with no zero entries as a flat int tuple."""
+    return sum(coeffs.items(), ())  # quadratic, but fastest for a few exponents
+
+
+def terms(flat):
+    """The (exponent, coefficient) pairs of a flat int tuple, in its order."""
+    it = iter(flat)
+    return zip(it, it)

@@ -85,7 +85,7 @@ def to_schur_basis(coeffs, degree):
     for nu in partitions_of(degree):
         acc = dict(coeffs[nu].coeffs) if nu in coeffs else {}
         for mu, cm in out.items():
-            k = _chains_below(mu, 1, nu).get((), {}).get(0, 0)
+            k = _chains_below(mu, 1, nu).get((), (0, 0))[1]  # (0, K): every spin is 0
             if k:
                 for e, x in cm.coeffs.items():
                     acc[e] = acc.get(e, 0) - k * x

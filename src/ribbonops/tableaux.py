@@ -10,10 +10,12 @@ symfunc.to_schur_basis converts it to the Schur basis.
 Every strip search here stays inside the shape being filled.  The one memo
 table, _chains_below(la, n, weight), runs top down: it holds the spin
 counts of every chain that removes strips of weight[-1], weight[-2], ...
-from la, by the partition the chain ends at.  A prefix of a partition is a
-partition, so the table a top-level call for la fills is the table of
-every smaller outer shape as well.  At n = 1 every spin is 0 and the count
-of chains from mu down to () is the Kostka number K(mu, weight).
+from la, by the partition the chain ends at, as a flat int tuple
+(qpoly.frozen) that the garbage collector does not walk.  A prefix of a
+partition is a partition, so the table a top-level call for la fills is
+the table of every smaller outer shape as well.  At n = 1 every spin is 0
+and the count of chains from mu down to () is the Kostka number
+K(mu, weight).
 enumerate_tableaux also removes strips: one backward pass from the outer
 shape keeps each level's removal strips, and the chains are read forward
 along them.
@@ -24,7 +26,7 @@ from __future__ import annotations
 from functools import cache
 
 from .partitions import added_cells, contains, horizontal_strips, partitions_of, ribbon_strips
-from .qpoly import QPoly
+from .qpoly import QPoly, frozen, terms
 
 
 class RibbonTableau:
@@ -117,27 +119,36 @@ def enumerate_tableaux(outer, inner, n, weight):
 
 @cache
 def _chains_below(la, n, weight):
-    """{inner: {spin: count}} over chains removing strips of weight[-1], weight[-2], ... from la.
+    """{inner: flat int tuple} over chains removing strips of weight[-1], weight[-2], ... from la.
 
-    The inner dicts are shared with the memo table: read them, never change them.
+    Each value is the spin generating polynomial of the chains that end at
+    inner, as (e0, c0, e1, c1, ...) (see qpoly.frozen).
     """
     if not weight:
-        return {la: {0: 1}}
+        return {la: (0, 1)}
+    strips = horizontal_strips(la, n, weight[-1], remove=True)
+    if len(weight) == 1:  # distinct strips end at distinct shapes
+        return {mu: (sp, 1) for mu, sp in strips}
     out = {}
     rest = weight[:-1]
-    for mu, sp in horizontal_strips(la, n, weight[-1], remove=True):
-        for inner, counts in _chains_below(mu, n, rest).items():
+    for mu, sp in strips:
+        for inner, flat in _chains_below(mu, n, rest).items():
             acc = out.get(inner)
             if acc is None:
                 out[inner] = acc = {}
-            for e, x in counts.items():
+            if len(flat) == 2:  # one spin, as at n = 1: no pair iterator
+                e = flat[0] + sp
+                acc[e] = acc.get(e, 0) + flat[1]
+                continue
+            it = iter(flat)  # terms(flat), inlined in the hottest loop of the route
+            for e, x in zip(it, it):
                 acc[e + sp] = acc.get(e + sp, 0) + x
-    return out
+    return {inner: frozen(acc) for inner, acc in out.items()}
 
 
 def weight_poly(outer, inner, n, weight):
     """Sum of q^spin over ribbon tableaux of shape outer/inner and given weight."""
-    return QPoly(_chains_below(outer, n, tuple(weight)).get(inner))
+    return QPoly(dict(terms(_chains_below(outer, n, tuple(weight)).get(inner, ()))))
 
 
 def ribbon_function(outer, inner, n):
@@ -149,7 +160,7 @@ def ribbon_function(outer, inner, n):
         raise ValueError("inner partition not contained in outer")
     coeffs = {}
     for nu in partitions_of(size // n):
-        counts = _chains_below(outer, n, nu).get(inner)
-        if counts:
-            coeffs[nu] = QPoly(counts)
+        flat = _chains_below(outer, n, nu).get(inner)
+        if flat:
+            coeffs[nu] = QPoly(dict(terms(flat)))
     return coeffs

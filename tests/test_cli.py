@@ -424,13 +424,25 @@ def test_dim_rejects_degenerate_inputs(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-def test_verify_with_no_cases_fails(capsys):
+@pytest.mark.parametrize("identity", ["relations", "all"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_negative_max_size_is_a_usage_error(capsys, identity, jobs):
+    code, out, err = run(capsys, "verify", "--identity", identity, "--n", "2",
+                         "--max-size", "-1", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == "error: --max-size must be >= 0, got -1\n"
+
+
+def test_verify_with_no_cases_fails(capsys, monkeypatch):
+    # no valid --max-size gives an empty sweep, so empty the shape lists
+    monkeypatch.setattr(verify, "partitions_up_to", lambda m: ())
+    monkeypatch.setattr(cli, "partitions_up_to", lambda m: ())
     code, out, _ = run(capsys, "verify", "--identity", "relations", "--n", "2",
-                       "--max-size", "-1", "--format", "text")
+                       "--max-size", "0", "--format", "text")
     assert code == 1
     assert "0 cases, NOTHING CHECKED" in out
     code, out, _ = run(capsys, "verify", "--identity", "relations", "--n", "2",
-                       "--max-size", "-1", "--jobs", "2")
+                       "--max-size", "0", "--jobs", "2")
     assert code == 1
     payload = json.loads(out)
     assert payload["cases"] == 0 and payload["ok"] is False

@@ -4,12 +4,14 @@ Adding or dropping an @cache table changes what a long sweep keeps in
 memory, so it should be a visible edit of EXPECTED, not a side effect.
 """
 
+import gc
 import importlib
 import pkgutil
 
 import ribbonops
 from ribbonops import operators, tableaux
-from ribbonops.qlr import qlr_table_via_operators
+from ribbonops.partitions import partitions_of
+from ribbonops.qlr import qlr_table_via_operators, qlr_via_expansion
 
 EXPECTED = {
     ("partitions", "partitions_of"),
@@ -53,3 +55,32 @@ def test_operator_route_leaves_the_chain_table_empty():
     assert all(any(t.entries.values()) for t in tables)
     assert operators._h_vector.cache_info().currsize > 0
     assert tableaux._chains_below.cache_info().currsize == 0
+
+
+def test_the_big_tables_hold_nothing_the_collector_walks():
+    # the two tables that grow through a long sweep keep flat int tuples,
+    # which a collection untracks, not QPoly, FockVec or nested dicts
+    shapes = (((4, 4, 4), (), 3), ((6, 4, 2), (1, 1), 2), ((5, 4, 3), (2, 1), 3),
+              ((3, 3), (), 1))
+    for outer, inner, n in shapes:
+        qlr_table_via_operators(outer, inner, n)
+        qlr_via_expansion(outer, inner, n)
+    gc.collect()
+    gc.collect()
+    misses = (operators._h_vector.cache_info().misses,
+              tableaux._chains_below.cache_info().misses)
+    values = 0
+    for outer, inner, n in shapes:
+        for alpha in partitions_of((sum(outer) - sum(inner)) // n):
+            for table in (operators._h_vector(inner, n, alpha),
+                          tableaux._chains_below(outer, n, alpha)):
+                assert type(table) is dict and not gc.is_tracked(table)
+                for key, flat in table.items():
+                    assert not gc.is_tracked(key) and not gc.is_tracked(flat)
+                    assert type(flat) is tuple and len(flat) % 2 == 0
+                    assert all(type(x) is int for x in flat)
+                    values += 1
+    # every read above was a hit, so it saw the values the routes left behind
+    assert (operators._h_vector.cache_info().misses,
+            tableaux._chains_below.cache_info().misses) == misses
+    assert values > 100

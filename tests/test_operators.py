@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +24,7 @@ from ribbonops.operators import (
     parse_expr,
 )
 from ribbonops.partitions import diagonal_window, partitions_of, partitions_up_to, ribbon_slots
-from ribbonops.qpoly import QPoly, qbracket
+from ribbonops.qpoly import QPoly, qbracket, terms
 from oracles import apply_B_by_newton, coefficient
 
 
@@ -95,6 +97,26 @@ def test_h_operators_commute():
 def test_h_product_order_is_irrelevant():
     v = basis((1,))
     assert apply_expansion({(2, 1, 1): 1}, 2, v) == apply_expansion({(1, 2, 1): 1}, 2, v)
+
+
+def test_memoized_h_vectors_match_the_public_h_chain():
+    # _h_vector keeps flat int tuples and scatters the strips itself; decoded,
+    # it is the FockVec that apply_h builds one factor at a time
+    alphas = {a for m in range(5) for p in partitions_of(m) for a in permutations(p)}
+    cases = nonzero = 0
+    for inner in partitions_up_to(4):
+        for n in (1, 2, 3):
+            for alpha in sorted(alphas):
+                want = basis(inner)
+                for k in reversed(alpha):
+                    want = apply_h(k, n, want)
+                got = {mu: QPoly(dict(terms(flat)))
+                       for mu, flat in operators._h_vector(inner, n, alpha).items()}
+                assert got == want.terms, (inner, n, alpha)
+                cases += 1
+                nonzero += bool(got)
+    assert len(alphas) == 16 and cases == 12 * 3 * 16 == 576
+    assert nonzero == cases
 
 
 def test_e_is_the_vertical_analogue():

@@ -9,7 +9,7 @@ from ribbonops.symfunc import (
     skew_schur_in_h,
     to_schur_basis,
 )
-from ribbonops.tableaux import _chains_below
+from ribbonops.tableaux import weight_poly
 from oracles import (
     _hadd,
     _hmul,
@@ -82,8 +82,8 @@ def test_newton_power_sums():
 
 
 def chain_kostka(nu, rho):
-    """K(nu, rho) as to_schur_basis reads it: n = 1 chains from nu down to ()."""
-    return _chains_below(nu, 1, rho).get((), {}).get(0, 0)
+    """K(nu, rho) as to_schur_basis reads it: n = 1 chains from nu down to (), all of spin 0."""
+    return weight_poly(nu, (), 1, rho).coeffs.get(0, 0)
 
 
 def test_kostka_against_filling_enumeration():
