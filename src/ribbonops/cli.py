@@ -418,11 +418,15 @@ def main(argv=None):
     if args.n < 1:
         print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
         return 2
-    if getattr(args, "command", None) == "verify" and args.identity != "dimension":
-        if args.max_size is None:
-            args.max_size = 8
-        elif args.max_size < 0:
-            print(f"error: --max-size must be >= 0, got {args.max_size}", file=sys.stderr)
+    if getattr(args, "command", None) == "verify":
+        if args.identity != "dimension":
+            if args.max_size is None:
+                args.max_size = 8
+            elif args.max_size < 0:
+                print(f"error: --max-size must be >= 0, got {args.max_size}", file=sys.stderr)
+                return 2
+        if args.jobs < 1:
+            print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
             return 2
     try:
         return args.func(args)

@@ -30,7 +30,6 @@ from .partitions import (
     parse_partition,
     remove_ribbon,
     ribbon_slots,
-    ribbon_strips,
 )
 from .qpoly import frozen, qbracket, terms
 from .symfunc import elementary_in_h, schur_in_h, skew_schur_in_h
@@ -141,26 +140,17 @@ def apply_skew_schur(outer, inner, n, v):
 def _B_moves(la, n, k):
     """Signed moves of B_k on la as ((c, ((mu, spin), ...)), ...), c != 0.
 
-    p_m = sum_{b<m} (-1)^b s_{(m-b, 1^b)} (Murnaghan-Nakayama).  For k = -m
-    each hook term contributes the words of its positive formula on la: the
-    leg goes on with descending heads, then the arm with ascending heads after
-    the last leg head.  For k = m the same words run backwards: the arm comes
-    off with descending heads, then the leg with ascending heads from the
-    last arm head on.
-    Equal (mu, spin) merge and cancelled ones are dropped.
+    p_m = sum_{b<m} (-1)^b s_{(m-b, 1^b)} (Murnaghan-Nakayama).  Each hook
+    term contributes the words of its positive formula (hook_strips): added
+    to la for k = -m, removed from it, run backwards, for k = m.  Equal
+    (mu, spin) merge and cancelled ones are dropped.
     """
     m = abs(k)
     tally = {}
     for b in range(m):
         sign = -1 if b % 2 else 1
-        if k < 0:
-            hits = ((mu, spin) for mu, spin, _ in hook_strips(la, n, m - b, b))
-        else:
-            hits = ((mu, arm_spin + leg_spin)
-                    for mid, arm_spin, arm in ribbon_strips(la, n, m - b, sign=-1, remove=True)
-                    for mu, leg_spin, _ in ribbon_strips(mid, n, b, remove=True, after=arm[-1]))
-        for key in hits:
-            tally[key] = tally.get(key, 0) + sign
+        for mu, spin, _ in hook_strips(la, n, m - b, b, remove=k > 0):
+            tally[mu, spin] = tally.get((mu, spin), 0) + sign
     return _grouped(tally)
 
 

@@ -129,18 +129,37 @@ def _from_beta(beta):
     return tuple(out)
 
 
+def _members(la, n):
+    """The first len(la) + n members of S(la), ascending: every member from
+    -len(la) - n up, so both ends of each n-ribbon move and all between."""
+    return _beta(la, len(la) + n)[::-1]
+
+
+def _spin(members, i, n):
+    """Members strictly between i - n and i: the spin of a ribbon with head i."""
+    return bisect_left(members, i) - bisect_right(members, i - n)
+
+
+def _move(la, n, src, dst):
+    """(mu, spin) with S(mu) = S(la) - {src} + {dst}, dst = src +- n, else None.
+
+    The move needs src in S(la) and dst outside it; below -len(la) - n every
+    integer is a member, so dst there gives no move.
+    """
+    if dst < -len(la) - n:
+        return None
+    members = _members(la, n)
+    if src not in members or dst in members:
+        return None
+    spin = _spin(members, max(src, dst), n)
+    members[members.index(src)] = dst
+    return _from_beta(members), spin
+
+
 @cache
 def add_ribbon(la, i, n):
     """(mu, spin) where mu = la plus an n-ribbon with head on diagonal i, else None."""
-    m = max(len(la), n - i, 1)
-    beta = _beta(la, m)
-    bset = set(beta)
-    if (i - n) not in bset or i in bset:
-        return None
-    spin = sum(1 for b in bset if i - n < b < i)
-    bset.discard(i - n)
-    bset.add(i)
-    return _from_beta(bset), spin
+    return _move(la, n, i - n, i)
 
 
 @cache
@@ -150,15 +169,7 @@ def remove_ribbon(la, i, n):
     Exact inverse of add_ribbon: remove_ribbon(la, i, n) == (mu, s) iff
     add_ribbon(mu, i, n) == (la, s).
     """
-    m = max(len(la), n - i, 1)
-    beta = _beta(la, m)
-    bset = set(beta)
-    if i not in bset or (i - n) in bset:
-        return None
-    spin = sum(1 for b in bset if i - n < b < i)
-    bset.discard(i)
-    bset.add(i - n)
-    return _from_beta(bset), spin
+    return _move(la, n, i, i - n)
 
 
 def diagonal_window(la, n, k=1):
@@ -172,11 +183,11 @@ def diagonal_window(la, n, k=1):
 def ribbon_slots(la, n):
     """All addable/removable n-ribbon slots, ascending by head diagonal.
 
-    A slot moves a member b of S(la) to b + n (add) or b to b - n (remove).
-    Every member above -len(la) - n - 1 lies among the first len(la) + n, so
-    those hold both ends of every slot and every member between them.
+    A slot moves a member b of S(la) to b + n (add) or b to b - n (remove),
+    the moves of add_ribbon and remove_ribbon; the members and the spin
+    count are theirs too (_members, _spin).
     """
-    members = _beta(la, len(la) + n)[::-1]  # ascending
+    members = _members(la, n)
     bset = set(members)
     out = []
     for b in members:
@@ -185,9 +196,7 @@ def ribbon_slots(la, n):
         # every integer below -len(la) is a member, listed here or not
         if b - n not in bset and b >= n - len(la):
             out.append((b, "remove"))
-    # the spin counts the members strictly between i - n and i
-    return tuple(RibbonSlot(i, kind, bisect_left(members, i) - bisect_right(members, i - n))
-                 for i, kind in sorted(out))
+    return tuple(RibbonSlot(i, kind, _spin(members, i, n)) for i, kind in sorted(out))
 
 
 def ribbon_strips(la, n, k, sign=1, remove=False, after=None):
@@ -217,17 +226,21 @@ def ribbon_strips(la, n, k, sign=1, remove=False, after=None):
     return level
 
 
-def hook_strips(la, n, a, b):
+def hook_strips(la, n, a, b, remove=False):
     """(mu, spin, heads) over the hook-formula words of (a, 1^b) on la, a >= 1.
 
     The leg goes on first, b + 1 ribbons with descending heads, then the arm,
-    a - 1 ribbons with ascending heads after the last leg head; heads lists
-    them in that order and spin is their total.  A generator: its callers
-    read it once, and B_{-k} never holds all of its words at a time.
+    a - 1 ribbons with ascending heads after the last leg head.  With
+    remove=True the same words run backwards on la: the arm comes off first,
+    a ribbons with descending heads, then the leg, b ribbons with heads
+    ascending after the last arm head.  heads lists the ribbons in the order
+    they move and spin is their total.  A generator: its callers read it
+    once, and B_{-k} never holds all of its words at a time.
     """
-    for low, leg_spin, leg in ribbon_strips(la, n, b + 1, sign=-1):
-        for mu, arm_spin, arm in ribbon_strips(low, n, a - 1, after=leg[-1]):
-            yield mu, leg_spin + arm_spin, leg + arm
+    down, up = (a, b) if remove else (b + 1, a - 1)
+    for low, low_spin, first in ribbon_strips(la, n, down, -1, remove):
+        for mu, spin, then in ribbon_strips(low, n, up, 1, remove, after=first[-1]):
+            yield mu, low_spin + spin, first + then
 
 
 @cache
@@ -261,9 +274,19 @@ def _runner_charges(la, n, m):
     return runners, charges
 
 
+def _from_runners(parts, runners, charges, n):
+    """The partition whose runner r is S(parts[r]) shifted by charges[r],
+    cut to the len(runners[r]) members that the first m beta numbers hold."""
+    return _from_beta([n * (b + o) + r
+                       for r, (part, runner, o) in enumerate(zip(parts, runners, charges))
+                       for b in _beta(part, len(runner))])
+
+
 def core_and_quotient(la, n):
     """(core, quotient, offsets) for the n-core / n-quotient bijection.
 
+    Runner r of S(la), shifted down by its charge, is S(quotient[r]); the
+    core has the same charges and the runners of the empty partition.
     offsets[j] is the smallest integer congruent to j mod n missing from the
     core's edge sequence; with that normalization every n-core has quotient
     ((), ..., ()) and adding a box with head diagonal k to quotient[j]
@@ -274,22 +297,10 @@ def core_and_quotient(la, n):
     m = len(la) + (-len(la)) % n
     m = max(m, n)
     runners, charges = _runner_charges(la, n, m)
-    quot = []
-    for r in range(n):
-        o = charges[r]
-        parts = []
-        for k, c in enumerate(sorted(runners[r], reverse=True), start=1):
-            p = c + k - o
-            if p:
-                parts.append(p)
-        quot.append(tuple(parts))
-    core_beta = []
-    for r in range(n):
-        c_min = -((m + r) // n)
-        core_beta.extend(n * c + r for c in range(c_min, charges[r]))
-    core = _from_beta(core_beta)
+    quot = tuple(_from_beta([c - o for c in runner]) for runner, o in zip(runners, charges))
+    core = _from_runners(((),) * n, runners, charges, n)
     offsets = tuple(n * charges[r] + r for r in range(n))
-    return core, tuple(quot), offsets
+    return core, quot, offsets
 
 
 def is_core(la, n):
@@ -302,21 +313,11 @@ def from_core_and_quotient(core, quotient, n):
         raise ValueError("quotient must have n components")
     if not is_core(core, n):
         raise ValueError(f"{core} is not a {n}-core")
-    total = sum(map(sum, quotient))
-    m = max(len(core), n) + n * total
-    m += (-m) % n
-    _, charges = _runner_charges(core, n, m)
-    beta = []
-    for r, part in enumerate(quotient):
+    for part in quotient:
         if not is_partition(part):
             raise ValueError(f"bad quotient component {part!r}")
-        c_min = -((m + r) // n)
-        o = charges[r]
-        k = 0
-        while True:
-            k += 1
-            c = (part[k - 1] if k <= len(part) else 0) - k + o
-            if c < c_min:
-                break
-            beta.append(n * c + r)
-    return _from_beta(beta)
+    total = sum(map(sum, quotient))
+    # a runner of the core then holds at least total >= len(part) members
+    m = max(len(core), n) + n * total
+    m += (-m) % n
+    return _from_runners(quotient, *_runner_charges(core, n, m), n)

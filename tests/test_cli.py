@@ -433,6 +433,15 @@ def test_negative_max_size_is_a_usage_error(capsys, identity, jobs):
     assert err == "error: --max-size must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("identity", ["relations", "all", "dimension"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(capsys, identity, jobs):
+    code, out, err = run(capsys, "verify", "--identity", identity, "--n", "2",
+                         "--max-size", "2", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+
 def test_verify_with_no_cases_fails(capsys, monkeypatch):
     # no valid --max-size gives an empty sweep, so empty the shape lists
     monkeypatch.setattr(verify, "partitions_up_to", lambda m: ())

@@ -1,5 +1,6 @@
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from ribbonops.partitions import (
     diagonal_window,
     format_partition,
     from_core_and_quotient,
+    hook_strips,
     horizontal_strips,
     is_core,
     parse_partition,
@@ -63,14 +65,21 @@ def test_conjugate_is_an_involution(la):
 
 
 def test_ribbon_moves_match_cell_level_oracle():
+    # every head diagonal from 2n below the window to 2n above it, so both
+    # sides of the -len(la) - n edge; a removal from la is an addition that
+    # the oracle finds from a shape of size |la| - n
+    cases = 0
     for n in (1, 2, 3, 4):
+        additions = {la: ribbon_additions(la, n) for la in partitions_up_to(8)}
         for la in partitions_up_to(8):
-            oracle = ribbon_additions(la, n)
+            removals = {i: (mu, spin) for mu in partitions_of(max(sum(la) - n, 0))
+                        for i, (nu, spin) in additions[mu].items() if nu == la}
             lo, hi = diagonal_window(la, n, 1)
-            mine = {i: hit for i in range(lo, hi + 1)
-                    if (hit := add_ribbon(la, i, n))}
-            assert mine == oracle, (la, n)
-
+            for i in range(lo - 2 * n, hi + 2 * n + 1):
+                assert add_ribbon(la, i, n) == additions[la].get(i), (la, n, i)
+                assert remove_ribbon(la, i, n) == removals.get(i), (la, n, i)
+                cases += 1
+    assert cases == 6024
 
 
 def test_horizontal_strips_match_the_tiling_oracle():
@@ -93,6 +102,21 @@ def test_removing_a_strip_transposes_adding_it():
                 removed = {(mu, la, spin) for la in partitions_of(m + n * k)
                            for mu, spin in horizontal_strips(la, n, k, remove=True)}
                 assert added == removed, (n, k, m)
+
+
+def test_removing_a_hook_word_transposes_adding_it():
+    words = 0
+    for n in (1, 2, 3):
+        for a in range(1, 5):
+            for b in range(5 - a):
+                for m in range(8):
+                    added = Counter((la, mu, spin) for la in partitions_of(m)
+                                    for mu, spin, _ in hook_strips(la, n, a, b))
+                    removed = Counter((la, mu, spin) for mu in partitions_of(m + n * (a + b))
+                                      for la, spin, _ in hook_strips(mu, n, a, b, remove=True))
+                    assert added == removed, (n, a, b, m)
+                    words += sum(added.values())
+    assert words == 20505
 
 
 @pytest.mark.parametrize("remove", [False, True])
@@ -204,6 +228,30 @@ def test_offsets_relabel_quotient_moves():
                     new_quot = list(quot)
                     new_quot[j] = hit[0]
                     assert from_core_and_quotient(core, tuple(new_quot), n) == big[0]
+
+
+def test_quotients_roundtrip_through_every_small_core():
+    cases = 0
+    for n in (2, 3, 4):
+        quotients = [q for q in product(partitions_up_to(3), repeat=n) if sum(map(sum, q)) <= 3]
+        for core in partitions_up_to(10):
+            if is_core(core, n):
+                for quot in quotients:
+                    la = from_core_and_quotient(core, quot, n)
+                    assert core_and_quotient(la, n)[:2] == (core, quot), (core, quot, n)
+                    cases += 1
+    assert cases == 2173
+
+
+@pytest.mark.parametrize("core, quot, message", [
+    ((), ((), ()), "quotient must have n components"),
+    ((2, 1), ((), (), ()), "is not a 3-core"),
+    ((), ((1, 2), (), ()), "bad quotient component"),
+    ((), (("a",), (), ()), "bad quotient component"),
+])
+def test_from_core_and_quotient_rejects_bad_input(core, quot, message):
+    with pytest.raises(ValueError, match=message):
+        from_core_and_quotient(core, quot, 3)
 
 
 def test_every_core_has_empty_quotient():
