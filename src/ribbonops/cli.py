@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from itertools import repeat
 
 from .fock import FockVec
 from .operators import apply_expr, parse_expr
@@ -21,13 +22,12 @@ from .partitions import (
     contains,
     core_and_quotient,
     format_partition,
-    horizontal_strips,
     parse_partition,
     partitions_up_to,
     ribbon_strips,
 )
 from .qlr import format_terms, qlr_table_via_operators, qlr_via_expansion, qlr_via_operators
-from .qpoly import QPoly
+from .qpoly import QPoly, signed_sum
 from .tableaux import enumerate_tableaux, ribbon_function
 
 # `positive` and `verify` are imported by the verbs that run them, so that a
@@ -63,17 +63,8 @@ def _window(text):
 
 
 def _poly_latex(p):
-    if not p:
-        return "0"
-    bits = []
-    for e, c in sorted(p.coeffs.items(), reverse=True):
-        if e == 0:
-            bits.append(str(c))
-        else:
-            head = "" if c == 1 else ("-" if c == -1 else str(c))
-            power = "q" if e == 1 else f"q^{{{e}}}"
-            bits.append(f"{head}{power}")
-    return " + ".join(bits)
+    return signed_sum((c, "" if e == 0 else "q" if e == 1 else f"q^{{{e}}}")
+                      for e, c in sorted(p.coeffs.items(), reverse=True))
 
 
 def _emit(payload):
@@ -166,14 +157,10 @@ def _cmd_tableaux(args):
 def _cmd_strips(args):
     if args.weight < 0:
         raise ValueError(f"--weight must be >= 0, got {args.weight}")
-    if args.window is None:
-        hits = horizontal_strips(args.inner, args.n, args.weight, args.remove)
-    else:
-        lo, hi = args.window
-        strips = ribbon_strips(args.inner, args.n, args.weight,
-                               -1 if args.remove else 1, args.remove)
-        hits = [(la, spin) for la, spin, heads in strips
-                if not heads or lo <= min(heads) and max(heads) <= hi]
+    lo, hi = args.window or (float("-inf"), float("inf"))
+    strips = ribbon_strips(args.inner, args.n, args.weight, -1 if args.remove else 1, args.remove)
+    hits = [(la, spin) for la, spin, heads in strips
+            if not heads or lo <= min(heads) and max(heads) <= hi]
     if args.remove:
         hits = sorted(hits)
     if args.format == "json":
@@ -246,13 +233,6 @@ def _cmd_yamanouchi(args):
     return 0 if agree else 1
 
 
-def _verify_chunk(task):
-    from .verify import run_identity
-
-    name, n, max_size, shapes = task
-    return run_identity(name, n, max_size, shapes)
-
-
 def _run_checker(name, n, max_size, jobs):
     from .verify import run_identity
 
@@ -265,7 +245,7 @@ def _run_checker(name, n, max_size, jobs):
 
     chunks = [shapes[i::jobs] for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_verify_chunk, [(name, n, max_size, c) for c in chunks]))
+        parts = list(pool.map(run_identity, repeat(name), repeat(n), repeat(max_size), chunks))
     merged = parts[0]
     for p in parts[1:]:
         merged.cases += p.cases

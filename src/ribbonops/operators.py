@@ -231,16 +231,11 @@ def parse_expr(text):
     return tuple(atoms)
 
 
-def apply_atom(atom, n, v):
-    name, arg = atom
-    return _ATOMS[name](arg, n, v)
-
-
 def apply_expr(atoms, n, v):
-    for atom in reversed(atoms):
+    for name, arg in reversed(atoms):
         if not v:
             break
-        v = apply_atom(atom, n, v)
+        v = _ATOMS[name](arg, n, v)
     return v
 
 

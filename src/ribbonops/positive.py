@@ -6,10 +6,14 @@ fillings of nu whose rows strictly increase and whose reading word (top row
 right to left, then the next rows) obeys the n-commuting constraints.  The
 conjugate families (b+1, 1^(a-1)) and (2, 2, 1^(s-2)) come for free by
 reversing the order on letter values, which swaps the roles of h and e.
+One lookup (_family) names the formula for nu and its letter order, for
+the words acting on a partition (formula_words) and for the words over a
+window of diagonals (monomials_in_window) alike.  The conjugate of a hook
+is a hook, so only the (s, 2) words are ever read in reversed order.
 
 Words are stored in product order (rightmost letter acts first), matching
-apply_word.  The words acting on a partition are found as two ribbon strips
-each (partitions.ribbon_strips).
+apply_word.  The words acting on a partition are found as ribbon strips
+(partitions.ribbon_strips and partitions.hook_strips).
 """
 
 from __future__ import annotations
@@ -38,11 +42,8 @@ def is_n_commuting(rows, n):
 
     Rows must strictly increase.  Columns past the first weakly increase
     downward; the first column only does where the lower row has a single
-    cell.  A two-by-two block in the first two columns must either descend
-    in column one with the lower-row letters n-close (non-commuting), or
-    ascend with the upper-right letter at most the lower-left one, or ascend
-    with the upper-right letter larger and the corner letters far enough
-    apart to commute.
+    cell.  Where the lower row has two or more cells, the two-by-two block
+    in the first two columns obeys the (s, 2) rule of _s2_ok.
     """
     shape = tuple(len(r) for r in rows)
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
@@ -50,24 +51,13 @@ def is_n_commuting(rows, n):
     for row in rows:
         if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
             return False
-    for x in range(len(rows) - 1):
-        up, down = rows[x], rows[x + 1]
-        for y in range(1, len(down)):
-            if up[y] > down[y]:
-                return False
+    for up, down in zip(rows, rows[1:]):
         if len(down) == 1 and up[0] > down[0]:
             return False
-        if len(down) >= 2:
-            a, b = up[0], up[1]
-            c, d = down[0], down[1]
-            if a > c:
-                if d - c > n:
-                    return False
-            elif a < c:
-                if not (b <= c or d - a > n):
-                    return False
-            else:
-                return False
+        if len(down) >= 2 and not _s2_ok(up[0], up[1], down[0], down[1], n):
+            return False
+        if any(up[y] > down[y] for y in range(2, len(down))):
+            return False
     return True
 
 
@@ -98,6 +88,14 @@ def s2_monomials(s, n, window):
 
 
 def _s2_ok(x1, x2, c, d, n):
+    """The two-by-two block (x1, x2) over (c, d) of an n-commuting filling.
+
+    The second column weakly increases downward.  The block either descends
+    in column one with the lower-row letters n-close (non-commuting), or
+    ascends with the upper-right letter at most the lower-left one, or
+    ascends with the upper-right letter larger and the corner letters far
+    enough apart to commute.
+    """
     if x2 > d:
         return False
     if x1 > c:
@@ -107,24 +105,13 @@ def _s2_ok(x1, x2, c, d, n):
     return x2 <= c or d - x1 > n
 
 
-def _hook_words(la, a, b, n):
-    """(product word, mu, spin) for hook-formula words acting nonzero on la.
-
-    The leg goes first with strictly descending heads, then the arm with
-    ascending heads starting below the last leg head (partitions.hook_strips).
-    So the heads descend through the leg and the first arm head, then ascend
-    from there.  Not memoized: formula_words reads every (la, nu) once.
-    """
-    return tuple((heads[::-1], mu, spin) for mu, spin, heads in hook_strips(la, n, a, b))
-
-
 def _s2_words(la, s, n, sign):
     """(product word, mu, spin) for (s,2)-formula words acting nonzero on la.
 
     The lower row (c, d) goes on as a 2-strip, then the top row: its first
     two heads as a 2-strip, kept only if _s2_ok passes (in the sign-adjusted
     order, the same rule s2_monomials uses), then its other s - 2 heads.
-    Not memoized, as _hook_words.
+    Not memoized: formula_words reads every (la, nu) once.
     """
     out = []
     for mid, low_spin, (c, d) in ribbon_strips(la, n, 2, sign):
@@ -145,21 +132,33 @@ def _classify(nu):
     return None
 
 
+def _family(nu):
+    """(kind, sign): the formula covering nu, and its order on letter values.
+
+    sign is 1 when nu is a hook or (s,2) itself, and -1 when its conjugate
+    is an (s,2) shape, whose words are then read with every letter negated.
+    """
+    kind = _classify(nu)
+    if kind is not None:
+        return kind, 1
+    kind = _classify(conjugate(nu))
+    if kind is None:
+        raise UnsupportedShapeError(f"no positive formula implemented for {nu}")
+    return kind, -1
+
+
 def formula_words(nu, la, n):
     """All (product word, mu, spin) of the positive formula for s_nu(u) on la.
 
-    Primal for hooks and (s,2); order-reversed for the conjugates of (s,2),
-    since the conjugate of a hook is a hook; UnsupportedShapeError otherwise.
+    Hook words are the hook strips of partitions.hook_strips: the leg goes
+    first with strictly descending heads, then the arm with ascending heads
+    starting below the last leg head.  (s,2) words and those of its
+    conjugate come from _s2_words in the order _family gives.
+    UnsupportedShapeError for any other nu.
     """
-    kind = _classify(nu)
-    sign = 1
-    if kind is None:
-        kind = _classify(conjugate(nu))
-        if kind is None:
-            raise UnsupportedShapeError(f"no positive formula implemented for {nu}")
-        sign = -1
+    kind, sign = _family(nu)
     if kind[0] == "hook":
-        return _hook_words(la, kind[1], kind[2], n)
+        return tuple((heads[::-1], mu, spin) for mu, spin, heads in hook_strips(la, n, *kind[1:]))
     return _s2_words(la, kind[1], n, sign)
 
 
@@ -173,26 +172,17 @@ def apply_formula(nu, n, v):
 
 
 def monomials_in_window(nu, n, window):
-    """Product-order words of whichever positive formula covers nu."""
-    kind = _classify(nu)
-    if kind is not None:
-        if kind[0] == "hook":
-            return hook_monomials(kind[1], kind[2], window)
-        return s2_monomials(kind[1], n, window)
-    return dual_monomials(nu, n, window)
+    """Product-order words of the positive formula for nu over diagonals in window.
 
-
-def dual_monomials(nu, n, window):
-    """Order-reversed words for nu whose conjugate is a hook or (s,2)."""
-    lo, hi = window
-    kind = _classify(conjugate(nu))
-    if kind is None:
-        raise UnsupportedShapeError(f"{nu} has no implemented conjugate formula")
+    For the conjugate of an (s,2) shape these are the (s,2) words over the
+    negated window with every letter negated.  UnsupportedShapeError, with
+    the message formula_words gives, for any other nu outside the families.
+    """
+    kind, sign = _family(nu)
     if kind[0] == "hook":
-        base = hook_monomials(kind[1], kind[2], (-hi, -lo))
-    else:
-        base = s2_monomials(kind[1], n, (-hi, -lo))
-    return [tuple(-l for l in w) for w in base]
+        return hook_monomials(*kind[1:], window)
+    lo, hi = window if sign == 1 else (-window[1], -window[0])
+    return [tuple(sign * l for l in w) for w in s2_monomials(kind[1], n, (lo, hi))]
 
 
 def _increasing_runs(seq):

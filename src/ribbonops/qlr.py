@@ -29,7 +29,7 @@ import warnings
 
 from .operators import _h_vector
 from .partitions import is_partition, partitions_of, partitions_up_to, subpartitions
-from .qpoly import QPoly, terms
+from .qpoly import QPoly, signed_sum, terms
 from .symfunc import schur_in_h, to_schur_basis
 from .tableaux import ribbon_function
 
@@ -97,26 +97,20 @@ class QLRTable:
     def latex(self):
         """Group the expansion by powers of q, smallest exponent first."""
         by_power = {}
-        for nu, poly in self.entries.items():
+        for nu, poly in self.entries.items():  # in partitions_of order
+            sep = "," if any(p > 9 for p in nu) else ""
             for e, c in poly.coeffs.items():
-                by_power.setdefault(e, []).append((nu, c))
-        if not by_power:
-            return "0"
-        bits = []
+                by_power.setdefault(e, []).append((c, f"s_{{{sep.join(map(str, nu))}}}"))
+        groups = []
         for e in sorted(by_power):
-            terms = []
-            for nu, c in by_power[e]:  # in partitions_of order, as entries are
-                sep = "," if any(p > 9 for p in nu) else ""
-                body = f"s_{{{sep.join(map(str, nu)) if sep else ''.join(map(str, nu))}}}"
-                terms.append(body if c == 1 else f"{c}{body}")
-            inner = " + ".join(terms)
-            if e == 0:
-                bits.append(inner if len(terms) == 1 else f"({inner})")
-            elif len(terms) == 1 and "+" not in inner:
-                bits.append(f"q^{{{e}}} {inner}" if e != 1 else f"q {inner}")
+            power = "" if e == 0 else "q" if e == 1 else f"q^{{{e}}}"
+            if len(by_power[e]) > 1:
+                groups.append((1, f"{power}({signed_sum(by_power[e])})"))
             else:
-                bits.append(f"q^{{{e}}}({inner})" if e != 1 else f"q({inner})")
-        return " + ".join(bits)
+                (c, body), = by_power[e]
+                term = signed_sum([(abs(c), body)])
+                groups.append((1 if c > 0 else -1, f"{power} {term}" if power else term))
+        return signed_sum(groups)
 
 
 def qlr_via_expansion(outer, inner, n):

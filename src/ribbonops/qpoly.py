@@ -17,6 +17,19 @@ collection.  frozen() writes that form and terms() reads it.
 from __future__ import annotations
 
 
+def signed_sum(terms):
+    """Text of a sum over (int coefficient, body) pairs, as "2q^2 - q - 3".
+
+    Signs go between the terms, a coefficient of 1 or -1 is dropped before
+    a nonempty body, and the empty sum is "0".
+    """
+    text = ""
+    for c, body in terms:
+        term = body if abs(c) == 1 and body else f"{abs(c)}{body}"
+        text += (" - " if c < 0 else " + ") + term if text else ("-" if c < 0 else "") + term
+    return text or "0"
+
+
 class QPoly:
     def __init__(self, coeffs=None):
         self.coeffs = {e: c for e, c in coeffs.items() if c} if coeffs else {}
@@ -128,21 +141,8 @@ class QPoly:
         return sum((c * Fraction(x) ** e for e, c in self.coeffs.items()), Fraction(0))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if abs(c) == 1 else f"{abs(c)}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum((c, "" if e == 0 else "q" if e == 1 else f"q^{e}")
+                          for e, c in sorted(self.coeffs.items(), reverse=True))
 
     def __repr__(self):
         return f"QPoly({self.coeffs!r})"

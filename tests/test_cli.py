@@ -14,6 +14,7 @@ import ribbonops
 from ribbonops import cli, verify
 from ribbonops.cli import main
 from ribbonops.partitions import format_partition, horizontal_strips, partitions_up_to
+from ribbonops.qlr import QLRTable
 from ribbonops.qpoly import QPoly
 from oracles import strip_heads
 
@@ -43,6 +44,15 @@ def test_qlr_latex_table(capsys):
     assert out.strip() == (
         "q^{2} s_{211} + q^{4}(s_{31} + s_{22}) + q^{6} s_{31} + q^{8} s_{4}"
     )
+
+
+def test_latex_prints_minus_signs_and_drops_unit_coefficients():
+    # no q-LR coefficient printed today is negative; a counterexample would be
+    assert cli._poly_latex(QPoly({2: 1, 1: -1, 0: -2})) == "q^{2} - q - 2"
+    table = QLRTable((2, 2), (), 2, {(2,): QPoly({1: 2, 0: -1}), (1, 1): QPoly({1: -1})})
+    assert table.latex() == "-s_{2} + q(2s_{2} - s_{11})"
+    table = QLRTable((2, 2), (), 2, {(2,): QPoly.one(), (1, 1): QPoly({3: -1})})
+    assert table.latex() == "s_{2} - q^{3} s_{11}"
 
 
 @pytest.mark.parametrize("fmt", ["text", "latex"])

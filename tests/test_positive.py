@@ -9,7 +9,6 @@ from ribbonops.positive import (
     UnsupportedShapeError,
     _s2_ok,
     apply_formula,
-    dual_monomials,
     formula_words,
     hook_monomials,
     is_n_commuting,
@@ -71,6 +70,45 @@ def test_is_n_commuting_column_rules():
     assert not is_n_commuting(((1, 2), (0, 3)), 2)
     # equal first-column letters never commute past each other
     assert not is_n_commuting(((1, 2), (1, 3)), 9)
+
+
+def _is_n_commuting_written_out(rows, n):
+    """is_n_commuting with its two-by-two block rule written out in place."""
+    for row in rows:
+        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            return False
+    for x in range(len(rows) - 1):
+        up, down = rows[x], rows[x + 1]
+        for y in range(1, len(down)):
+            if up[y] > down[y]:
+                return False
+        if len(down) == 1 and up[0] > down[0]:
+            return False
+        if len(down) >= 2:
+            a, b = up[0], up[1]
+            c, d = down[0], down[1]
+            if a > c:
+                if d - c > n:
+                    return False
+            elif a < c:
+                if not (b <= c or d - a > n):
+                    return False
+            else:
+                return False
+    return True
+
+
+def test_is_n_commuting_matches_the_written_out_block_rule():
+    # rows of length 3 also reach the column check past the block
+    cases = {}
+    for width in (2, 3):
+        for n in range(6):
+            for top in combinations(range(-3, 5), width):
+                for bottom in combinations(range(-3, 5), width):
+                    rows = (top, bottom)
+                    assert is_n_commuting(rows, n) == _is_n_commuting_written_out(rows, n), (rows, n)
+                    cases[width] = cases.get(width, 0) + 1
+    assert cases == {2: 4704, 3: 18816}
 
 
 def test_s2_monomials_match_commuting_fillings_exactly():
@@ -155,9 +193,14 @@ def test_s2_words_pruned_early_match_the_filter_after_search():
 
 
 def test_formula_words_refuse_unsupported_shapes():
+    # and the window words refuse them with the same message
     for nu in ((3, 3), (3, 2, 1), (4, 3)):
-        with pytest.raises(UnsupportedShapeError):
+        with pytest.raises(UnsupportedShapeError) as on_partition:
             formula_words(nu, (), 2)
+        with pytest.raises(UnsupportedShapeError) as in_window:
+            monomials_in_window(nu, 2, (-3, 3))
+        assert str(on_partition.value) == str(in_window.value)
+        assert str(in_window.value) == f"no positive formula implemented for {nu}"
 
 
 def test_window_enumeration_covers_the_formula():
@@ -179,13 +222,17 @@ def test_window_enumeration_covers_the_formula():
         assert total == apply_formula(nu, n, FockVec.basis(la)), (nu, n, la)
 
 
-def test_dual_monomials_negate_and_reverse():
-    window = (-3, 3)
-    words = dual_monomials((2, 2, 1), 2, window)
-    assert words and all(len(w) == 5 for w in words)
-    assert all(-3 <= l <= 3 for w in words for l in w)
-    with pytest.raises(UnsupportedShapeError):
-        dual_monomials((3, 3), 2, window)
+def test_conjugate_words_are_negated_s2_words_on_the_negated_window():
+    cases = 0
+    for nu, s in (((2, 2, 1), 3), ((2, 2, 1, 1), 4), ((2, 2, 1, 1, 1), 5)):
+        for n in (1, 2, 3):
+            for lo, hi in ((-3, 3), (0, 4)):
+                words = monomials_in_window(nu, n, (lo, hi))
+                assert words == [tuple(-l for l in w) for w in s2_monomials(s, n, (-hi, -lo))]
+                assert words and all(len(w) == sum(nu) for w in words), (nu, n, lo, hi)
+                assert all(lo <= l <= hi for w in words for l in w)
+                cases += 1
+    assert cases == 18
 
 
 def test_formula_polynomial_matches_pairing():

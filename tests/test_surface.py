@@ -1,0 +1,66 @@
+"""The package surface carries no dead weight: every import in
+src/ribbonops is used in its module, and every private top-level function
+there has a caller in src/ribbonops other than itself.
+
+Read with ast alone, so a leftover wrapper or a stale import fails here
+before anything runs it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ribbonops"
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _names(nodes):
+    """Every name the nodes read: bare names, attributes and imported names."""
+    found = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                found.update(alias.name for alias in sub.names)
+    return found
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_the_package_is_read():
+    assert {"cli", "partitions", "positive", "verify"} <= set(TREES)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(bound)
+    assert unused == [], f"{module} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_private_function_has_a_caller(module):
+    uncalled = []
+    for node in TREES[module].body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            elsewhere = [n for m, tree in TREES.items() for n in tree.body if n is not node]
+            if node.name not in _names(elsewhere):
+                uncalled.append(node.name)
+    assert uncalled == [], f"{module} defines {uncalled} and nothing in the package calls them"
