@@ -27,7 +27,7 @@ from .partitions import (
     ribbon_strips,
 )
 from .qlr import format_terms, qlr_table_via_operators, qlr_via_expansion, qlr_via_operators
-from .qpoly import QPoly, signed_sum
+from .qpoly import QPoly
 from .tableaux import enumerate_tableaux, ribbon_function
 
 # `positive` and `verify` are imported by the verbs that run them, so that a
@@ -60,11 +60,6 @@ def _window(text):
         return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"window must look like lo:hi, got {text!r}")
-
-
-def _poly_latex(p):
-    return signed_sum((c, "" if e == 0 else "q" if e == 1 else f"q^{{{e}}}")
-                      for e, c in sorted(p.coeffs.items(), reverse=True))
 
 
 def _emit(payload):
@@ -110,7 +105,7 @@ def _cmd_qlr(args):
         _emit({"n": args.n, "outer": list(args.outer), "inner": list(args.inner),
                "nu": list(args.nu), "coeffs": c.to_pairs(), "routes_agree": True})
     elif args.format == "latex":
-        print(_poly_latex(c))
+        print(c.text(latex=True))
     else:
         print(c)
     return 0

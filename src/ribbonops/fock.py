@@ -3,11 +3,17 @@
 The standard basis is orthonormal for the q-bilinear pairing, so adjoints of
 ribbon operators are computed by transposing single-ribbon moves, never by
 conjugating coefficients.
+
+A FockVec holds {partition: QPoly} with no zero coefficient.  __init__
+filters zeros, and FockVec._raw wraps a dict that has none, as QPoly._raw
+does for polynomials; nothing else sets the terms.  signed_map is the one
+loop that extends a basis action linearly, and linear_map calls it.  A
+vector prints through qpoly.poly_sum, the one sign rule for printed sums.
 """
 
 from __future__ import annotations
 
-from .qpoly import QPoly
+from .qpoly import QPoly, poly_sum
 
 
 class FockVec:
@@ -17,16 +23,19 @@ class FockVec:
         self.terms = {la: p for la, p in (terms or {}).items() if p}
 
     @classmethod
+    def _raw(cls, terms):
+        """The FockVec of a dict with no zero coefficient, taken as it is."""
+        v = cls.__new__(cls)
+        v.terms = terms
+        return v
+
+    @classmethod
     def zero(cls):
         return cls()
 
     @classmethod
     def basis(cls, la, coeff=None):
-        v = cls()
-        v.terms[la] = QPoly.one() if coeff is None else coeff
-        if not v.terms[la]:
-            v.terms = {}
-        return v
+        return cls({la: QPoly.one() if coeff is None else coeff})
 
     def support(self):
         """Basis partitions with nonzero coefficient, smallest and widest first."""
@@ -52,32 +61,21 @@ class FockVec:
                 out[la] = s
             else:
                 del out[la]
-        v = FockVec()
-        v.terms = out
-        return v
+        return FockVec._raw(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        v = FockVec()
-        v.terms = {la: -c for la, c in self.terms.items()}
-        return v
+        return FockVec._raw({la: -c for la, c in self.terms.items()})
 
     def __mul__(self, scalar):
-        if isinstance(scalar, int):
-            v = FockVec()
-            if scalar == 1:
-                v.terms = dict(self.terms)
-            elif scalar:
-                v.terms = {la: c * scalar for la, c in self.terms.items()}
-            return v
-        if not isinstance(scalar, QPoly):
+        """Scale by an int or a QPoly; 1 copies and 0 gives the zero vector."""
+        if not isinstance(scalar, (int, QPoly)):
             return NotImplemented
-        v = FockVec()
-        if scalar:
-            v.terms = {la: c * scalar for la, c in self.terms.items()}
-        return v
+        if scalar == 1:
+            return FockVec._raw(dict(self.terms))
+        return FockVec._raw({la: c * scalar for la, c in self.terms.items()} if scalar else {})
 
     __rmul__ = __mul__
 
@@ -97,23 +95,11 @@ class FockVec:
 
     @classmethod
     def from_pairs(cls, pairs):
-        v = cls()
-        for la, coeffs in pairs:
-            v.terms[tuple(la)] = QPoly.from_pairs(coeffs)
-        v.terms = {la: c for la, c in v.terms.items() if c}
-        return v
+        return cls({tuple(la): QPoly.from_pairs(coeffs) for la, coeffs in pairs})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for la in self.support():
-            c = str(self.terms[la])
-            if " " in c:
-                c = f"({c})"
-            name = ",".join(map(str, la)) if la else "-"
-            bits.append(f"{c}·({name})")
-        return " + ".join(bits)
+        return poly_sum(((self.terms[la], ",".join(map(str, la)) or "-") for la in self.support()),
+                        "{}·({})".format)
 
     def __repr__(self):
         return f"FockVec({self.terms!r})"
@@ -134,38 +120,23 @@ def _scatter(acc, cc, moves):
                 del slot[e]
 
 
-def _collect(acc):
-    out = FockVec()
-    for mu, d in acc.items():
-        if d:
-            p = QPoly()
-            p.coeffs = d
-            out.terms[mu] = p
-    return out
-
-
 def linear_map(v, moves):
-    """Extend a basis action linearly.
-
-    moves(la) yields (mu, spin) pairs meaning la -> q^spin * mu; accumulation
-    runs on raw coefficient dicts to keep the hot path cheap.
-    """
-    acc = {}
-    for la, coeff in v.terms.items():
-        _scatter(acc, coeff.coeffs, moves(la))
-    return _collect(acc)
+    """Extend a basis action linearly: moves(la) yields (mu, spin) pairs, la -> q^spin mu."""
+    return signed_map(v, lambda la: ((1, moves(la)),))
 
 
 def signed_map(v, moves):
     """Extend a signed basis action linearly.
 
     moves(la) yields (c, pairs) groups, c a nonzero int and pairs a sequence
-    of (mu, spin), meaning la -> c q^spin mu for each pair; each group scales
-    the coefficient dict once and then runs linear_map's accumulation.
+    of (mu, spin), meaning la -> c q^spin mu for each pair.  Accumulation
+    runs on raw coefficient dicts to keep the hot path cheap: each group
+    scales the coefficient dict once (not at all for c = 1), and the sums
+    that cancel are dropped at the end.
     """
     acc = {}
     for la, coeff in v.terms.items():
         cc = coeff.coeffs
         for c, pairs in moves(la):
             _scatter(acc, cc if c == 1 else {e: x * c for e, x in cc.items()}, pairs)
-    return _collect(acc)
+    return FockVec._raw({mu: QPoly._raw(d) for mu, d in acc.items() if d})

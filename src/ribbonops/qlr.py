@@ -29,7 +29,7 @@ import warnings
 
 from .operators import _h_vector
 from .partitions import is_partition, partitions_of, partitions_up_to, subpartitions
-from .qpoly import QPoly, signed_sum, terms
+from .qpoly import QPoly, poly_sum, power, signed_sum, terms
 from .symfunc import schur_in_h, to_schur_basis
 from .tableaux import ribbon_function
 
@@ -49,16 +49,8 @@ def qlr_via_operators(nu, outer, inner, n):
 
 def format_terms(terms, letter):
     """Text of a sum over (index, QPoly) pairs as "c letter[index] + ..."; zeros skipped."""
-    bits = []
-    for key, c in terms:
-        if not c:
-            continue
-        body = str(c)
-        if " " in body:
-            body = f"({body})"
-        name = ",".join(map(str, key))
-        bits.append(f"{letter}[{name}]" if body == "1" else f"{body} {letter}[{name}]")
-    return " + ".join(bits) or "0"
+    return poly_sum(((c, ",".join(map(str, key))) for key, c in terms),
+                    lambda c, name: f"{letter}[{name}]" if c == "1" else f"{c} {letter}[{name}]")
 
 
 class QLRTable:
@@ -103,13 +95,12 @@ class QLRTable:
                 by_power.setdefault(e, []).append((c, f"s_{{{sep.join(map(str, nu))}}}"))
         groups = []
         for e in sorted(by_power):
-            power = "" if e == 0 else "q" if e == 1 else f"q^{{{e}}}"
             if len(by_power[e]) > 1:
-                groups.append((1, f"{power}({signed_sum(by_power[e])})"))
+                groups.append((1, f"{power(e, latex=True)}({signed_sum(by_power[e])})"))
             else:
                 (c, body), = by_power[e]
-                term = signed_sum([(abs(c), body)])
-                groups.append((1 if c > 0 else -1, f"{power} {term}" if power else term))
+                term = f"{power(e, latex=True)} {signed_sum([(abs(c), body)])}".lstrip()
+                groups.append((1 if c > 0 else -1, term))
         return signed_sum(groups)
 
 

@@ -2,9 +2,14 @@
 
 A QPoly is a map {exponent: coefficient} with int entries and no explicit
 zeros.  Instances are treated as immutable values: every arithmetic
-operation returns a fresh QPoly, and hashing is allowed.  Exponents may be
-any integers, although every quantity produced by this library (spin
-weights, Heisenberg scalars) has nonnegative exponents.
+operation returns a fresh QPoly, and hashing is allowed; a constant equals,
+and hashes like, its int.  Exponents may be any integers, although every
+quantity produced by this library (spin weights, Heisenberg scalars) has
+nonnegative exponents.  __init__ filters zeros and QPoly._raw wraps a dict
+that has none; nothing else sets the coefficients.  _lift is the one way
+an int enters arithmetic.  Printed sums have one rule: power writes q^e,
+signed_sum puts the signs between terms, and poly_sum gives each one-term
+coefficient's sign to that join.
 
 The memo tables that grow through a long sweep (operators._h_vector and
 tableaux._chains_below) do not hold QPoly instances.  They keep each
@@ -15,6 +20,11 @@ collection.  frozen() writes that form and terms() reads it.
 """
 
 from __future__ import annotations
+
+
+def power(e, latex=False):
+    """Text of q^e: "" for e = 0, "q", "q^5", or "q^{5}" in LaTeX."""
+    return "" if e == 0 else "q" if e == 1 else f"q^{{{e}}}" if latex else f"q^{e}"
 
 
 def signed_sum(terms):
@@ -30,9 +40,29 @@ def signed_sum(terms):
     return text or "0"
 
 
+def poly_sum(terms, write):
+    """Text of a sum over (QPoly coefficient, name) pairs, zeros skipped.
+
+    write(coefficient text, name) writes one term.  A one-term coefficient
+    brings its own sign to the join; a longer one stays in parentheses.
+    """
+    return signed_sum((1, write(f"({p})", name)) if len(p.coeffs) > 1
+                      else (-1, write(str(-p), name)) if min(p.coeffs.values()) < 0
+                      else (1, write(str(p), name)) for p, name in terms if p)
+
+
 class QPoly:
+    __slots__ = ("coeffs",)
+
     def __init__(self, coeffs=None):
         self.coeffs = {e: c for e, c in coeffs.items() if c} if coeffs else {}
+
+    @classmethod
+    def _raw(cls, coeffs):
+        """The QPoly of a dict with no zero entries, taken as it is."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
     @classmethod
     def zero(cls):
@@ -49,11 +79,10 @@ class QPoly:
 
     @classmethod
     def from_pairs(cls, pairs):
-        p = cls()
+        acc = {}
         for e, c in pairs:
-            p.coeffs[e] = p.coeffs.get(e, 0) + c
-        p.coeffs = {e: c for e, c in p.coeffs.items() if c}
-        return p
+            acc[e] = acc.get(e, 0) + c
+        return cls(acc)
 
     def to_pairs(self):
         """[[exponent, coefficient], ...] sorted by exponent."""
@@ -63,19 +92,20 @@ class QPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = QPoly({0: other})
-        if not isinstance(other, QPoly):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        """A constant hashes like the int it equals."""
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = QPoly({0: other})
-        if not isinstance(other, QPoly):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -84,19 +114,16 @@ class QPoly:
                 out[e] = nc
             else:
                 del out[e]
-        p = QPoly()
-        p.coeffs = out
-        return p
+        return QPoly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly({e: -c for e, c in self.coeffs.items()})
+        return QPoly._raw({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = QPoly({0: other})
-        if not isinstance(other, QPoly):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -105,10 +132,7 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            p = QPoly()
-            if other:
-                p.coeffs = {e: c * other for e, c in self.coeffs.items()}
-            return p
+            return QPoly._raw({e: c * other for e, c in self.coeffs.items()} if other else {})
         if not isinstance(other, QPoly):
             return NotImplemented
         out = {}
@@ -120,9 +144,7 @@ class QPoly:
                     out[e] = nc
                 else:
                     del out[e]
-        p = QPoly()
-        p.coeffs = out
-        return p
+        return QPoly._raw(out)
 
     __rmul__ = __mul__
 
@@ -130,7 +152,7 @@ class QPoly:
         """Multiply by q^e without a general product."""
         if not e:
             return self
-        return QPoly({k + e: c for k, c in self.coeffs.items()})
+        return QPoly._raw({k + e: c for k, c in self.coeffs.items()})
 
     def evaluate(self, x):
         """Value at x, exact when x is an int or Fraction."""
@@ -140,12 +162,23 @@ class QPoly:
             raise TypeError("evaluate wants an int or Fraction")
         return sum((c * Fraction(x) ** e for e, c in self.coeffs.items()), Fraction(0))
 
-    def __str__(self):
-        return signed_sum((c, "" if e == 0 else "q" if e == 1 else f"q^{e}")
-                          for e, c in sorted(self.coeffs.items(), reverse=True))
+    def text(self, latex=False):
+        """Descending powers of q, as "q^2 - q - 2", or "q^{2} - q - 2" in LaTeX."""
+        return signed_sum((c, power(e, latex)) for e, c in sorted(self.coeffs.items(), reverse=True))
+
+    __str__ = text
 
     def __repr__(self):
         return f"QPoly({self.coeffs!r})"
+
+
+def _lift(other):
+    """other as a QPoly: an int is a constant, and anything else is None."""
+    if isinstance(other, QPoly):
+        return other
+    if isinstance(other, int):
+        return QPoly._raw({0: other} if other else {})
+    return None
 
 
 def qbracket(count, step=1):

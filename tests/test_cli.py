@@ -48,7 +48,7 @@ def test_qlr_latex_table(capsys):
 
 def test_latex_prints_minus_signs_and_drops_unit_coefficients():
     # no q-LR coefficient printed today is negative; a counterexample would be
-    assert cli._poly_latex(QPoly({2: 1, 1: -1, 0: -2})) == "q^{2} - q - 2"
+    assert QPoly({2: 1, 1: -1, 0: -2}).text(latex=True) == "q^{2} - q - 2"
     table = QLRTable((2, 2), (), 2, {(2,): QPoly({1: 2, 0: -1}), (1, 1): QPoly({1: -1})})
     assert table.latex() == "-s_{2} + q(2s_{2} - s_{11})"
     table = QLRTable((2, 2), (), 2, {(2,): QPoly.one(), (1, 1): QPoly({3: -1})})
@@ -188,6 +188,16 @@ def test_ribbonfn_monomial_basis(capsys):
     assert out.strip() == "(q^3 + q) m[1,1] + q^3 m[2]"
 
 
+def test_ribbonfn_monomial_json(capsys):
+    code, out, err = run(capsys, "ribbonfn", "--n", "3", "--outer", "3,2,1",
+                         "--basis", "monomial", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps({
+        "n": 3, "outer": [3, 2, 1], "inner": [], "basis": "monomial",
+        "entries": [{"mu": [1, 1], "coeffs": [[1, 1], [3, 1]]}, {"mu": [2], "coeffs": [[3, 1]]}],
+    }, indent=2) + "\n"
+
+
 def test_ribbonfn_monomial_latex_refused(capsys):
     code, _, err = run(capsys, "ribbonfn", "--n", "3", "--outer", "3,2,1",
                        "--basis", "monomial", "--format", "latex")
@@ -313,6 +323,18 @@ def test_apply_skew_schur_atom(capsys):
     code, out, _ = run(capsys, "apply", "sskew[2,1/1]", "--n", "2")
     assert code == 0
     assert out.strip() == "q^2·(1,1,1,1) + q·(2,1,1) + (q^2 + 1)·(2,2) + q·(3,1) + 1·(4)"
+
+
+def test_apply_puts_a_negative_one_term_coefficient_behind_a_minus_sign(capsys):
+    code, out, err = run(capsys, "apply", "--n", "2", "p[2]", "--inner", "1")
+    assert (code, err) == (0, "")
+    assert out == "-q^2·(1,1,1,1,1) + q^2·(2,2,1) - 1·(3,2) + 1·(5)\n"
+    # a longer coefficient keeps its parentheses after a plus sign
+    code, out, err = run(capsys, "apply", "--n", "2", "p[3]")
+    assert (code, err) == (0, "")
+    assert out == ("q^3·(1,1,1,1,1,1) + q^2·(2,1,1,1,1) + (-q^3 + q)·(2,2,1,1)"
+                   " + (-q^2 + 1)·(2,2,2) - q^2·(3,1,1,1) + (q^3 - q)·(3,3) - q·(4,1,1)"
+                   " + (q^2 - 1)·(4,2) + q·(5,1) + 1·(6)\n")
 
 
 @pytest.mark.parametrize("expr", ["e[-1]", "h[-1]", "e[-2] s[1]"])
@@ -450,6 +472,13 @@ def test_jobs_below_one_is_a_usage_error(capsys, identity, jobs):
                          "--max-size", "2", "--jobs", jobs)
     assert code == 2 and out == ""
     assert err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+
+def test_verify_max_size_defaults_to_8(capsys):
+    code, out, err = run(capsys, "verify", "--identity", "haction", "--n", "2", "--format", "text")
+    assert (code, err) == (0, "")
+    assert re.sub(r"\(\d+\.\d+s\)", "(N.NNs)", out) == (
+        "haction n=2 {'jmax': 2, 'max_size': 8}: 2316 cases, ok (N.NNs)\n")
 
 
 def test_verify_with_no_cases_fails(capsys, monkeypatch):

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from ribbonops import qlr
 from ribbonops.partitions import (
     core_and_quotient,
     from_core_and_quotient,
@@ -215,6 +216,35 @@ def test_empty_skew_gives_unit_table():
     assert table.degree == 0
     assert table.coefficient(()) == QPoly.one()
     assert table.text() == "s[]"
+
+
+def test_text_puts_a_negative_one_term_coefficient_behind_a_minus_sign():
+    table = QLRTable((2, 2), (), 2, {(2,): QPoly.one(), (1, 1): QPoly({0: -1})})
+    assert table.text() == "s[2] - s[1,1]"
+    table = QLRTable((2, 2), (), 2, {(2,): QPoly.one(), (1, 1): QPoly({3: -1})})
+    assert table.text() == "s[2] - q^3 s[1,1]"
+    # a longer coefficient keeps its parentheses after a plus sign
+    table = QLRTable((2, 2), (), 2, {(2,): QPoly({1: -1}), (1, 1): QPoly({1: 2, 0: -1})})
+    assert table.text() == "-q s[2] + (2q - 1) s[1,1]"
+
+
+def test_scan_reports_a_negative_coefficient(monkeypatch):
+    real = qlr.qlr_via_expansion
+
+    def flipped(outer, inner, n):
+        table = real(outer, inner, n)
+        if (outer, inner) == ((2,), ()):
+            table.entries[(1,)] = -table.entries[(1,)]
+        return table
+
+    monkeypatch.setattr(qlr, "qlr_via_expansion", flipped)
+    report = nonnegativity_scan(2, ns=(2,))
+    assert not report.ok
+    assert report.to_json() == {
+        "max_size": 2, "n_values": [2], "shapes_scanned": 6, "entries_checked": 6,
+        "violations": [{"n": 2, "outer": [2], "inner": [], "nu": [1], "coeffs": [[0, -1]]}],
+        "ok": False,
+    }
 
 
 def test_nonnegativity_scan_small():

@@ -61,6 +61,15 @@ def test_integer_coercion_in_equality():
     assert QPoly.q_power(1) != 1
 
 
+def test_a_constant_hashes_like_the_int_it_equals():
+    # equal values must hash alike, or a set keeps both as distinct members
+    for c in (0, 1, 3, -2):
+        p = QPoly.q_power(0, c)
+        assert p == c and hash(p) == hash(c) and len({p, c}) == 1
+    assert len({QPoly(), 0}) == 1
+    assert {QPoly.q_power(1, 3): "x"}.get(QPoly({1: 3})) == "x"
+
+
 def test_str_is_descending():
     p = QPoly.q_power(4) + QPoly.q_power(2, 2) + QPoly.one()
     assert str(p) == "q^4 + 2q^2 + 1"

@@ -64,3 +64,34 @@ def test_every_private_function_has_a_caller(module):
             if node.name not in _names(elsewhere):
                 uncalled.append(node.name)
     assert uncalled == [], f"{module} defines {uncalled} and nothing in the package calls them"
+
+
+def _set_sites(tree):
+    """(function, line) of every assignment to a .coeffs or .terms attribute or item."""
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            targets = (child.targets if isinstance(child, ast.Assign)
+                       else [child.target] if isinstance(child, (ast.AugAssign, ast.AnnAssign))
+                       else child.targets if isinstance(child, ast.Delete) else [])
+            for target in targets:
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+                if isinstance(target, ast.Attribute) and target.attr in ("coeffs", "terms"):
+                    sites.append((func, child.lineno))
+            visit(child, func)
+
+    visit(tree, None)
+    return sites
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_only_the_constructors_set_coefficients(module):
+    # QPoly and FockVec hold no zero coefficient: __init__ filters them and
+    # _raw wraps a dict that has none, so no other code may set or edit one
+    stray = [site for site in _set_sites(TREES[module]) if site[0] not in ("__init__", "_raw")]
+    assert stray == [], f"{module} sets .coeffs or .terms outside the constructors at {stray}"

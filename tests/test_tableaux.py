@@ -158,6 +158,14 @@ def test_tableau_count_matches_weight_poly():
         assert total == weight_poly(outer, (), n, nu)
 
 
+def test_skew_ascii_art_dots_the_inner_cells():
+    found = tableaux.enumerate_tableaux((3, 3), (1, 1), 2, (1, 1))
+    assert [(t.spin, t.ascii_art()) for t in found] == [
+        (2, ". 1 2\n. 1 2"),
+        (0, ". 1 1\n. 2 2"),
+    ]
+
+
 def test_worked_five_strip_tableau():
     chain = ((), (5, 1), (5, 2, 2), (5, 5, 4, 3, 1), (7, 6, 4, 3, 1))
     heads = tuple(strip_heads(a, b, 3) for a, b in zip(chain, chain[1:]))
