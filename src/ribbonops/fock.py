@@ -7,8 +7,9 @@ conjugating coefficients.
 A FockVec holds {partition: QPoly} with no zero coefficient.  __init__
 filters zeros, and FockVec._raw wraps a dict that has none, as QPoly._raw
 does for polynomials; nothing else sets the terms.  signed_map is the one
-loop that extends a basis action linearly, and linear_map calls it.  A
-vector prints through qpoly.poly_sum, the one sign rule for printed sums.
+loop that extends a basis action linearly; an unsigned action hands it a
+single (1, pairs) group.  A vector prints through qpoly.poly_sum, the one
+sign rule for printed sums.
 """
 
 from __future__ import annotations
@@ -118,11 +119,6 @@ def _scatter(acc, cc, moves):
                 slot[e] = nc
             else:
                 del slot[e]
-
-
-def linear_map(v, moves):
-    """Extend a basis action linearly: moves(la) yields (mu, spin) pairs, la -> q^spin mu."""
-    return signed_map(v, lambda la: ((1, moves(la)),))
 
 
 def signed_map(v, moves):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from functools import cache
 
-from .fock import FockVec, _scatter, linear_map, signed_map
+from .fock import FockVec, _scatter, signed_map
 from .partitions import (
     add_ribbon,
     hook_strips,
@@ -38,17 +38,17 @@ from .symfunc import elementary_in_h, schur_in_h, skew_schur_in_h
 def apply_u(i, n, v):
     def moves(la):
         hit = add_ribbon(la, i, n)
-        return (hit,) if hit else ()
+        return ((1, (hit,)),) if hit else ()
 
-    return linear_map(v, moves)
+    return signed_map(v, moves)
 
 
 def apply_d(i, n, v):
     def moves(la):
         hit = remove_ribbon(la, i, n)
-        return (hit,) if hit else ()
+        return ((1, (hit,)),) if hit else ()
 
-    return linear_map(v, moves)
+    return signed_map(v, moves)
 
 
 def apply_word(letters, n, v):
@@ -63,13 +63,13 @@ def apply_word(letters, n, v):
 def apply_h(k, n, v):
     if k < 0:
         return FockVec.zero()
-    return linear_map(v, lambda la: horizontal_strips(la, n, k))
+    return signed_map(v, lambda la: ((1, horizontal_strips(la, n, k)),))
 
 
 def apply_h_perp(k, n, v):
     if k < 0:
         return FockVec.zero()
-    return linear_map(v, lambda la: horizontal_strips(la, n, k, remove=True))
+    return signed_map(v, lambda la: ((1, horizontal_strips(la, n, k, remove=True)),))
 
 
 @cache

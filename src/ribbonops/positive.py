@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .fock import linear_map
+from .fock import signed_map
 from .partitions import add_ribbon, conjugate, hook_strips, ribbon_strips
 from .tableaux import RibbonTableau
 
@@ -166,9 +166,9 @@ def apply_formula(nu, n, v):
     """Positive-formula action of s_nu(u) on a vector."""
 
     def moves(la):
-        return tuple((mu, spin) for _, mu, spin in formula_words(nu, la, n))
+        return ((1, tuple((mu, spin) for _, mu, spin in formula_words(nu, la, n))),)
 
-    return linear_map(v, moves)
+    return signed_map(v, moves)
 
 
 def monomials_in_window(nu, n, window):

@@ -5,7 +5,9 @@ of complete homogeneous functions (so they can be pushed through any
 algebra where the h_k commute), and h_i at (1, q^2, ..., q^(2(n-1))).
 Power sums are not here: p_k(u) is the Heisenberg generator
 operators.apply_B.  h-products are recorded as dicts {sorted tuple of
-parts: int coefficient}.
+parts: int coefficient}.  The determinant is expanded along its first
+column, whose minors are again skew Jacobi-Trudi determinants, so the one
+memo table of skew_schur_in_h holds them all, shared across shapes.
 
 The one step of the expansion route kept here, to_schur_basis, works on
 plain {partition: QPoly} dicts and reads its Kostka numbers from the chain
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import partitions_of
+from .partitions import contains, partitions_of
 from .qpoly import QPoly
 from .tableaux import _chains_below
 
@@ -25,40 +27,35 @@ from .tableaux import _chains_below
 def skew_schur_in_h(outer, inner=()):
     """Jacobi-Trudi: s_{outer/inner} = det(h_{outer_i - inner_j - i + j}).
 
-    Laplace expansion along the first remaining row, memoized on the bitmask
-    of columns still free: the minor on free columns S uses the last |S|
-    rows, so there are O(l 2^l) minors instead of l! permutations.
+    Expanded along the first column: deleting row i and column 0 leaves the
+    Jacobi-Trudi matrix of outer^(i)/inner[1:], where outer^(i) adds one box
+    to each of the first i rows and drops row i, so
+
+        s_{outer/inner} = sum_i (-1)^i h_{outer_i - inner_0 - i} s_{outer^(i)/inner[1:]}
+
+    with h_s = 0 for s < 0.  Each minor is read through this memo table, so
+    every shape of a degree shares its sub-determinants.
     """
-    l = len(outer)
-    if len(inner) > l or any((inner[i] if i < len(inner) else 0) > outer[i] for i in range(l)):
+    if not contains(outer, inner):
         return {}
-    pad = tuple(inner) + (0,) * (l - len(inner))
-    minors = {0: {(): 1}}
-
-    def minor(free):
-        if free in minors:
-            return minors[free]
-        r = l - free.bit_count()
-        out = {}
-        sign = 1
-        for j in range(l):
-            if not free >> j & 1:
-                continue
-            s = outer[r] - pad[j] - r + j
-            if s >= 0:
-                for key, c in minor(free & ~(1 << j)).items():
-                    if s:
-                        key = tuple(sorted(key + (s,), reverse=True))
-                    c = out.get(key, 0) + sign * c
-                    if c:
-                        out[key] = c
-                    else:
-                        del out[key]
-            sign = -sign
-        minors[free] = out
-        return out
-
-    return minor((1 << l) - 1)
+    if not outer:
+        return {(): 1}
+    first, rest = (inner[0], inner[1:]) if inner else (0, ())
+    out = {}
+    for i, part in enumerate(outer):
+        s = part - first - i
+        if s < 0:  # s falls with i
+            break
+        minor = tuple(p + 1 for p in outer[:i]) + outer[i + 1:]
+        for key, c in skew_schur_in_h(minor, rest).items():
+            if s:
+                key = tuple(sorted(key + (s,), reverse=True))
+            c = out.get(key, 0) + (-1) ** i * c
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
 
 
 def schur_in_h(nu):

@@ -9,7 +9,7 @@ import importlib
 import pkgutil
 
 import ribbonops
-from ribbonops import operators, tableaux
+from ribbonops import operators, symfunc, tableaux
 from ribbonops.partitions import partitions_of
 from ribbonops.qlr import qlr_table_via_operators, qlr_via_expansion
 
@@ -43,6 +43,21 @@ def test_the_memo_tables_are_pinned():
     assert {"cli", "positive", "verify"} <= modules
     assert set(memo_tables()) == EXPECTED
     assert len(EXPECTED) == 10
+
+
+def test_jacobi_trudi_shares_one_table_across_a_degree():
+    # the first-column minors of every nu |- 9 are skew shapes of one table
+    table = symfunc.skew_schur_in_h
+    table.cache_clear()
+    shapes = partitions_of(9)
+    assert len(shapes) == 30
+    for nu in shapes:
+        symfunc.schur_in_h(nu)
+    assert table.cache_info().currsize == 89
+    misses = table.cache_info().misses
+    for nu in shapes:
+        symfunc.schur_in_h(nu)
+    assert table.cache_info().misses == misses
 
 
 def test_operator_route_leaves_the_chain_table_empty():

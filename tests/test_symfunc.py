@@ -1,6 +1,12 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
-from ribbonops.partitions import partitions_of, partitions_up_to, subpartitions
+from ribbonops.partitions import (
+    conjugate,
+    contains,
+    partitions_of,
+    partitions_up_to,
+    subpartitions,
+)
 from ribbonops.qpoly import QPoly
 from ribbonops.symfunc import (
     elementary_in_h,
@@ -13,6 +19,7 @@ from ribbonops.tableaux import weight_poly
 from oracles import (
     _hadd,
     _hmul,
+    _parity,
     jacobi_trudi_by_permutations,
     kostka_count,
     power_in_h,
@@ -47,9 +54,48 @@ def test_skew_schur_in_h_matches_permutation_oracle():
                 outer, inner)
             pairs += 1
     assert pairs == 862
-    # inner not contained in outer: s_{outer/inner} = 0
+    # inner not contained in outer: s_{outer/inner} = 0, a minor the
+    # first-column recursion reaches
+    small = list(partitions_up_to(6))
+    pairs = 0
+    for outer in small:
+        for inner in small:
+            if not contains(outer, inner):
+                assert skew_schur_in_h(outer, inner) == jacobi_trudi_by_permutations(outer, inner) == {}, (
+                    outer, inner)
+                pairs += 1
+    assert pairs == 670
     assert jacobi_trudi_by_permutations((3, 1), (2, 2)) == {}
     assert skew_schur_in_h((3, 1), (2, 2)) == {}
+    # row i of the first column enters only where outer_i >= inner_0 + i, so
+    # row 4 first does at degree 20; five rows keep the oracle at 5! terms
+    pairs = 0
+    for outer in partitions_of(20):
+        if len(outer) <= 5:
+            for inner in ((), (1,)):
+                assert skew_schur_in_h(outer, inner) == jacobi_trudi_by_permutations(outer, inner), (
+                    outer, inner)
+                pairs += 1
+    assert pairs == 384
+
+
+def test_dual_jacobi_trudi_past_the_oracle():
+    # s_{la'} = det(e_{la_i - i + j}); la has at most 3 rows, so la' has up to
+    # 14 rows, where the l! permutations of the oracle are out of reach
+    shapes = 0
+    for m in range(15):
+        for la in partitions_of(m):
+            if len(la) > 3:
+                continue
+            det = {}
+            for sigma in permutations(range(len(la))):
+                term = {(): 1}
+                for i, j in enumerate(sigma):
+                    term = _hmul(term, elementary_in_h(la[i] - i + j))
+                det = _hadd(det, term, scale=_parity(sigma))
+            assert schur_in_h(conjugate(la)) == det, la
+            shapes += 1
+    assert shapes == 147  # the empty shape too: a 0 x 0 determinant is 1
 
 
 def test_elementary_complete_duality():
