@@ -3,7 +3,8 @@
 Exit codes: 0 on success (including verifications with zero failures),
 1 when a verification or cross-check fails or checks no case, 2 on usage
 errors such as malformed partitions, indivisible sizes, or an unsupported
-shape family.
+shape family.  A handler reports a usage error by raising ValueError, and
+main prints every one the same way: one "error: ..." line on stderr.
 All output is deterministic for a fixed flag set.
 """
 
@@ -73,6 +74,13 @@ def _require_skew(outer, inner):
     return sum(outer) - sum(inner)
 
 
+def _require_ribbon_skew(args):
+    size = _require_skew(args.outer, args.inner)
+    if size % args.n:
+        raise ValueError(f"skew size {size} is not divisible by n={args.n}")
+    return size
+
+
 def _require_nu_size(args, size):
     if args.n * sum(args.nu) != size:
         raise ValueError(f"need n*|nu| = {size}, got {args.n}*{sum(args.nu)}")
@@ -88,9 +96,7 @@ def _print_table(table, fmt, **extra):
 
 
 def _cmd_qlr(args):
-    size = _require_skew(args.outer, args.inner)
-    if size % args.n:
-        raise ValueError(f"skew size {size} is not divisible by n={args.n}")
+    size = _require_ribbon_skew(args)
     if args.nu is not None:
         _require_nu_size(args, size)
     table = qlr_table_via_operators(args.outer, args.inner, args.n)
@@ -112,9 +118,7 @@ def _cmd_qlr(args):
 
 
 def _cmd_ribbonfn(args):
-    size = _require_skew(args.outer, args.inner)
-    if size % args.n:
-        raise ValueError(f"skew size {size} is not divisible by n={args.n}")
+    _require_ribbon_skew(args)
     if args.basis == "schur":
         _print_table(qlr_via_expansion(args.outer, args.inner, args.n), args.format)
         return 0
@@ -252,30 +256,27 @@ def _run_checker(name, n, max_size, jobs):
 
 
 def _cmd_verify(args):
-    from .verify import CHECKERS
+    from .verify import CHECKERS, algebra_dimension
 
+    max_size = 8 if args.max_size is None else args.max_size
+    if max_size < 0 and args.identity != "dimension":
+        raise ValueError(f"--max-size must be >= 0, got {max_size}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.identity == "dimension":
-        return _dimension(args)
-    names = tuple(CHECKERS) if args.identity == "all" else (args.identity,)
-    reports = [_run_checker(name, args.n, args.max_size, args.jobs) for name in names]
+        rep = algebra_dimension(args.n, args.k, max_size=args.max_size,
+                                residues=args.blocks, seed=args.seed)
+        reports, ok = [rep], rep.stable
+    else:
+        names = tuple(CHECKERS) if args.identity == "all" else (args.identity,)
+        reports = [_run_checker(name, args.n, max_size, args.jobs) for name in names]
+        ok = all(r.ok for r in reports)
     if args.format == "text":
         for rep in reports:
             print(rep.summary())
     else:
         _emit([r.to_json() for r in reports] if len(reports) > 1 else reports[0].to_json())
-    return 0 if all(r.ok for r in reports) else 1
-
-
-def _dimension(args):
-    from .verify import algebra_dimension
-
-    rep = algebra_dimension(args.n, args.k, max_size=args.max_size,
-                            residues=args.blocks, seed=args.seed)
-    if args.format == "text":
-        print(rep.summary())
-    else:
-        _emit(rep.to_json())
-    return 0 if rep.stable else 1
+    return 0 if ok else 1
 
 
 class _IdentityChoices:
@@ -382,28 +383,16 @@ def build_parser():
     p.add_argument("--blocks", type=_composition, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="json")
-    p.set_defaults(func=_dimension)
+    p.set_defaults(func=_cmd_verify, identity="dimension", jobs=1)
 
     return top
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.n < 1:
-        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
-        return 2
-    if getattr(args, "command", None) == "verify":
-        if args.identity != "dimension":
-            if args.max_size is None:
-                args.max_size = 8
-            elif args.max_size < 0:
-                print(f"error: --max-size must be >= 0, got {args.max_size}", file=sys.stderr)
-                return 2
-        if args.jobs < 1:
-            print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
     try:
+        if args.n < 1:
+            raise ValueError(f"--n must be >= 1, got {args.n}")
         return args.func(args)
     except ValueError as e:  # positive.UnsupportedShapeError included
         print(f"error: {e}", file=sys.stderr)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import warnings
 
 from .operators import _h_vector
-from .partitions import is_partition, partitions_of, partitions_up_to, subpartitions
+from .partitions import contains, is_partition, partitions_of, partitions_up_to, subpartitions
 from .qpoly import QPoly, poly_sum, power, signed_sum, terms
 from .symfunc import schur_in_h, to_schur_basis
 from .tableaux import ribbon_function
@@ -115,7 +115,9 @@ def qlr_table_via_operators(outer, inner, n):
     """Every <s_nu(u) . inner, outer>, summed on raw {exponent: int} dicts.
 
     Each pairing <h_alpha . inner, outer> is read once; the Jacobi-Trudi
-    terms of a partition nu are partitions of the same size.
+    terms of a partition nu are partitions of the same size.  Like the
+    expansion route it raises ValueError when n does not divide the skew
+    size or inner is not contained in outer.
     """
     size = sum(outer) - sum(inner)
     if size % n:
@@ -126,6 +128,9 @@ def qlr_table_via_operators(outer, inner, n):
         hit = _h_vector(inner, n, alpha).get(outer)
         if hit:
             hits[alpha] = tuple(terms(hit))
+    # strips only add cells, so a hit already shows inner is inside outer
+    if not hits and not contains(outer, inner):
+        raise ValueError("inner partition not contained in outer")
     entries = {}
     for nu in nus if hits else ():
         acc = {}

@@ -6,7 +6,10 @@ carry enough data to replay one bad case by hand; a sweep with no cases is
 not ok.
 
 algebra_dimension measures the rank of the span of u-word matrices on a
-truncated Fock space over the field Q(q) of rational functions in q.  The
+truncated Fock space over the field Q(q) of rational functions in q, in one
+loop over size cutoffs n apart: an explicit max_size is compared with
+max_size - n, and without one the cutoff grows until three ranks in a row
+agree or it passes 40 n.  The
 rank is certified exactly, without floats or tolerances, by one sparse
 elimination run at integer values of q.  Every entry is a power of q, and
 setting q to a point (mod a prime or not) can only lower a rank, while no
@@ -256,19 +259,23 @@ class DimensionReport:
 
 
 def _word_matrices(n, k, max_size, residues):
-    """Distinct matrices of u-words restricted to the truncated basis.
+    """Basis size and sparse rows of the distinct u-word matrices on the truncated basis.
 
     Only the domain is cut off; images may outgrow it.  Each matrix is a
-    monomial partial map {la: (mu, t)}; q^c multiples are identified by
-    shifting the minimum exponent to zero, which is harmless for the rank
-    over rational functions in q.
+    monomial partial map la -> q^t mu, held as its sorted (la, mu, t)
+    entries; q^c multiples are identified by shifting the minimum exponent
+    to zero, which is harmless for the rank over rational functions in q.
+    Returns (basis size, rows, ncols): one row {col: exponent} per distinct
+    matrix, in breadth-first order, over the columns of its (la, mu) entries.
     """
     basis = [la for la in partitions_up_to(max_size)
              if sum(la) % n in residues]
     gens = range(1, k * n + 1)
-    ident = {la: (la, 0) for la in basis}
-    seen = {_normalize(ident)}
+    ident = _normalize({la: (la, 0) for la in basis})
+    seen = {ident}
     frontier = [ident]
+    coords = {}
+    rows = []
     length = 0
     while frontier:
         length += 1
@@ -276,9 +283,10 @@ def _word_matrices(n, k, max_size, residues):
             raise RuntimeError("word length cap hit; algebra looks infinite here")
         nxt = []
         for mat in frontier:
+            rows.append({coords.setdefault((la, mu), len(coords)): t for la, mu, t in mat})
             for g in gens:
                 new = {}
-                for la, (mu, t) in mat.items():
+                for la, mu, t in mat:
                     hit = add_ribbon(mu, g, n)
                     if hit is not None:
                         new[la] = (hit[0], t + hit[1])
@@ -287,9 +295,9 @@ def _word_matrices(n, k, max_size, residues):
                 key = _normalize(new)
                 if key not in seen:
                     seen.add(key)
-                    nxt.append(new)
+                    nxt.append(key)
         frontier = nxt
-    return basis, sorted(seen)
+    return len(basis), rows, len(coords)
 
 
 def _normalize(mat):
@@ -367,34 +375,18 @@ def _certified_rank(rows, ncols, point):
     return rank, (modular,), "degree-bound"
 
 
-def _word_rows(mats):
-    """Sparse rows {col: exponent} of the word matrices over their (la, mu) entries."""
-    coords = {}
-    rows = []
-    for mat in mats:
-        row = {}
-        for la, mu, t in mat:
-            row[coords.setdefault((la, mu), len(coords))] = t
-        rows.append(row)
-    return rows, len(coords)
-
-
-def _span_rank(n, k, max_size, residues, point):
-    basis, mats = _word_matrices(n, k, max_size, residues)
-    rank, spec, certificate = _certified_rank(*_word_rows(mats), point)
-    return len(basis), len(mats), rank, spec, certificate
-
-
 def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
     """Rank of the span of u_1..u_{kn} word matrices on a truncated basis.
 
     Truncating the Fock space can only collapse words, so the rank grows
     monotonically with the size cutoff towards the dimension of the algebra
-    the words span.  Without an explicit max_size the cutoff grows by n
-    until three consecutive cutoffs give the same rank; with one, the
-    smaller-cutoff rerun reports whether that cutoff was already stable.
-    Either way "stable" means the rank stopped growing over the cutoffs
-    tried: it is evidence of convergence, not a proof.
+    the words span.  One loop ranks cutoffs n apart.  Without an explicit
+    max_size it starts at max(n (k + 1), n k^2) and stops when three
+    consecutive cutoffs give the same rank, or unstable at the first cutoff
+    past 40 n; with one, it ranks max_size - n and max_size and is stable
+    when the two agree, and the 40 n cap does not apply.  Either way
+    "stable" means the rank stopped growing over the cutoffs tried: it is
+    evidence of convergence, not a proof.
 
     Each rank is exact over Q(q).  It is computed once with q set to a
     seeded random integer modulo the prime 2^61 - 1; when that reaches the
@@ -413,36 +405,28 @@ def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
             f"max_size must be >= n={n}, so that the smaller cutoff max_size - n "
             f"is not negative; got {max_size}")
     t0 = time.perf_counter()
-    if residues is None:
-        residues = tuple(range(n))
-    else:
-        residues = tuple(sorted({r % n for r in residues}))
-        if not residues:
-            raise ValueError("residues must keep at least one size class mod n")
+    residues = tuple(sorted({r % n for r in (range(n) if residues is None else residues)}))
+    if not residues:
+        raise ValueError("residues must keep at least one size class mod n")
     point = random.Random(seed).randrange(2, _P - 1)
-    if max_size is not None:
-        basis_size, words, rank, spec, certificate = _span_rank(
-            n, k, max_size, residues, point)
-        rank_smaller = _span_rank(n, k, max_size - n, residues, point)[2]
-        stable = rank == rank_smaller
+    # rank cutoffs n apart until `need` ranks in a row agree or the cutoff reaches `last`
+    if max_size is None:
+        max_size, need, last = max(n * (k + 1), n * k * k), 3, 40 * n + 1
     else:
-        max_size = max(n * (k + 1), n * k * k)
-        history = []
-        while True:
-            basis_size, words, rank, spec, certificate = _span_rank(
-                n, k, max_size, residues, point)
-            history.append(rank)
-            if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-                stable = True
-                break
-            if max_size > 40 * n:
-                stable = False
-                break
-            max_size += n
-        rank_smaller = history[-2] if len(history) > 1 else rank
+        max_size, need, last = max_size - n, 2, max_size
+    history = []
+    while True:
+        basis_size, rows, ncols = _word_matrices(n, k, max_size, residues)
+        rank, spec, certificate = _certified_rank(rows, ncols, point)
+        history.append(rank)
+        stable = history[-need:] == [rank] * need
+        if stable or max_size >= last:
+            break
+        max_size += n
+    rank_smaller = history[-2] if len(history) > 1 else rank
     return DimensionReport(
         n=n, k=k, max_size=max_size, residues=residues,
-        basis_size=basis_size, words=words, rank=rank,
+        basis_size=basis_size, words=len(rows), rank=rank,
         rank_smaller=rank_smaller, stable=stable,
         specialization_ranks=spec, certificate=certificate,
         elapsed=time.perf_counter() - t0)

@@ -185,6 +185,13 @@ def test_table_rejects_indivisible_size():
         qlr_table_via_operators((2, 2), (1,), 2)
 
 
+@pytest.mark.parametrize("outer, inner", [((2,), (1, 1)), ((2,), (3,))])
+@pytest.mark.parametrize("route", [qlr_table_via_operators, qlr_via_expansion])
+def test_tables_reject_an_inner_shape_outside_the_outer_one(route, outer, inner):
+    with pytest.raises(ValueError, match="inner partition not contained in outer"):
+        route(outer, inner, 1)
+
+
 def test_text_rendering():
     table = qlr_via_expansion((4, 4, 4), (), 3)
     assert table.text() == (

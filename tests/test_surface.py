@@ -95,3 +95,17 @@ def test_only_the_constructors_set_coefficients(module):
     # _raw wraps a dict that has none, so no other code may set or edit one
     stray = [site for site in _set_sites(TREES[module]) if site[0] not in ("__init__", "_raw")]
     assert stray == [], f"{module} sets .coeffs or .terms outside the constructors at {stray}"
+
+
+def test_cli_main_reads_only_n_and_func():
+    # every verb checks its own options in its handler, so that each usage
+    # error reaches the one `except ValueError` in main
+    main = next(node for node in TREES["cli"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    read = {node.attr for node in ast.walk(main)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+    read |= {node.args[1].value for node in ast.walk(main)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+             and isinstance(node.args[0], ast.Name) and node.args[0].id == "args"}
+    assert read <= {"n", "func"}, f"cli.main reads args.{sorted(read - {'n', 'func'})}"

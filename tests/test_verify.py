@@ -10,7 +10,6 @@ from ribbonops.verify import (
     VerificationReport,
     _certified_rank,
     _word_matrices,
-    _word_rows,
     algebra_dimension,
     check_cauchy,
     check_h_commute,
@@ -46,6 +45,33 @@ def test_checkers_accept_an_explicit_shape_list():
     full = check_relations(3, 2)
     sliced = check_relations(3, 0, shapes=list(partitions_up_to(2)))
     assert full.cases == sliced.cases
+
+
+# cases per rule of check_relations(n, 4); every rule must run, so deleting
+# one of its branches changes a count here even when all the others still pass
+RELATION_RULE_COUNTS = {
+    2: {"u_i u_i = 0": 152, "u_{i+n} u_i u_{i+n} = 0": 152, "u_i u_{i+n} u_i = 0": 152,
+        "u_i d_j = d_j u_i": 899, "u_j d_i = d_i u_j": 899,
+        "u_i u_j = q^2 u_j u_i": 140, "far letters commute": 631},
+    3: {"u_i u_i = 0": 200, "u_{i+n} u_i u_{i+n} = 0": 200, "u_i u_{i+n} u_i = 0": 200,
+        "u_i d_j = d_j u_i": 1579, "u_j d_i = d_i u_j": 1579,
+        "u_i u_j = q^2 u_j u_i": 364, "far letters commute": 1051},
+}
+
+
+@pytest.mark.parametrize("n", sorted(RELATION_RULE_COUNTS))
+def test_relations_run_every_rule(monkeypatch, n):
+    counts = {}
+    tally = VerificationReport.tally
+
+    def spy(self, lhs, rhs, witness):
+        counts[witness["rule"]] = counts.get(witness["rule"], 0) + 1
+        tally(self, lhs, rhs, witness)
+
+    monkeypatch.setattr(VerificationReport, "tally", spy)
+    rep = check_relations(n, 4)
+    assert rep.ok and rep.cases == sum(counts.values())
+    assert counts == RELATION_RULE_COUNTS[n]
 
 
 def test_reports_count_failures():
@@ -152,8 +178,7 @@ POINT = 3
 def test_certified_rank_matches_bareiss_on_word_matrices():
     for n, k in ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (2, 2)):
         for max_size in range(13):
-            _, mats = _word_matrices(n, k, max_size, tuple(range(n)))
-            rows, ncols = _word_rows(mats)
+            _, rows, ncols = _word_matrices(n, k, max_size, tuple(range(n)))
             rank, spec, certificate = _certified_rank(rows, ncols, POINT)
             polys = [{c: QPoly.q_power(t) for c, t in row.items()} for row in rows]
             assert rank == rank_by_bareiss(polys, ncols), (n, k, max_size)
@@ -218,6 +243,45 @@ def test_dimension_with_explicit_cutoff():
     assert odd.rank == 2 and odd.rank_smaller == 0 and not odd.stable
     with pytest.raises(ValueError, match="max_size must be >= n=2"):
         algebra_dimension(2, 1, max_size=1)
+
+
+def _stub_ranks(monkeypatch, rank_at):
+    """Make each cutoff's word matrices a full-rank identity of rank_at(cutoff) rows."""
+    tried = []
+
+    def word_matrices(n, k, max_size, residues):
+        tried.append(max_size)
+        r = rank_at(max_size)
+        return 1, [{c: 0} for c in range(r)], r
+
+    monkeypatch.setattr(verify, "_word_matrices", word_matrices)
+    return tried
+
+
+def test_explicit_cutoff_ranks_one_smaller_cutoff_and_no_cap(monkeypatch):
+    tried = _stub_ranks(monkeypatch, lambda size: 3)
+    rep = algebra_dimension(1, 1, max_size=45)
+    assert tried == [44, 45]
+    assert rep.max_size == 45 and rep.stable and (rep.rank, rep.rank_smaller) == (3, 3)
+
+
+def test_automatic_cutoff_stops_after_three_equal_ranks(monkeypatch):
+    # the loop starts at max(n (k + 1), n k^2) = 4; one pair of equal ranks is not enough
+    tried = _stub_ranks(monkeypatch, lambda size: {4: 5, 5: 5}.get(size, 6))
+    rep = algebra_dimension(1, 2)
+    assert tried == [4, 5, 6, 7, 8]
+    assert rep.max_size == 8 and rep.stable and rep.rank == 6
+    tried = _stub_ranks(monkeypatch, lambda size: 5)
+    rep = algebra_dimension(1, 2)
+    assert tried == [4, 5, 6]
+    assert rep.max_size == 6 and rep.stable and (rep.rank, rep.rank_smaller) == (5, 5)
+
+
+def test_automatic_cutoff_gives_up_past_forty_n(monkeypatch):
+    tried = _stub_ranks(monkeypatch, lambda size: size)
+    rep = algebra_dimension(1, 1)
+    assert tried == list(range(2, 42))
+    assert rep.max_size == 41 and not rep.stable and (rep.rank, rep.rank_smaller) == (41, 40)
 
 
 @pytest.mark.parametrize("k", [0, -1])
