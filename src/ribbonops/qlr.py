@@ -5,14 +5,17 @@ schur operators, <s_nu(u) . inner, outer>, and the coefficient of s_nu in
 the Schur expansion of the ribbon spin generating function.  The routes
 share the single-ribbon kernel and the horizontal strip search
 (partitions.horizontal_strips), which tests/oracles.py checks against a
-cell-level tiling: the operator route adds strips to inner, the expansion
-route removes them from outer.  Everything above that differs (Jacobi-Trudi
-determinant signs vs tableau chains plus Kostka inversion), which is what
-makes their agreement a real check.  Each route computes the whole table of
-a skew shape, and a single coefficient is one entry of it.  The operator
-route reads each pairing <h_alpha . inner, outer> once per table and sums
-every nu's Jacobi-Trudi terms from those reads, and never touches the chain
-table.  The expansion route reads one chain table per outer shape and
+cell-level tiling: the operator route adds strips to inner for every factor
+of h_alpha but the top one, h_alpha[0], whose strip it removes from outer;
+the expansion route removes every strip from outer.  Everything above that
+differs (Jacobi-Trudi determinant signs vs tableau chains plus Kostka
+inversion), which is what makes their agreement a real check.  Each route
+computes the whole table of a skew shape, and a single coefficient is one
+entry of it.  The operator route reads each pairing <h_alpha . inner, outer>
+once per table, as the strips of alpha[0] ribbons removed from outer dotted
+with h_alpha[1:] . inner, so it never builds a vector of the full degree; it
+sums every nu's Jacobi-Trudi terms from those reads and never touches the
+chain table.  The expansion route reads one chain table per outer shape and
 weight, shared by every inner shape and every smaller outer shape, as a
 plain {partition: QPoly} monomial dict, and converts it to the Schur basis
 with Kostka numbers read from the same chain table at n = 1.  Both memo
@@ -28,7 +31,14 @@ from __future__ import annotations
 import warnings
 
 from .operators import _h_vector
-from .partitions import contains, is_partition, partitions_of, partitions_up_to, subpartitions
+from .partitions import (
+    contains,
+    horizontal_strips,
+    is_partition,
+    partitions_of,
+    partitions_up_to,
+    subpartitions,
+)
 from .qpoly import QPoly, poly_sum, power, signed_sum, terms
 from .symfunc import schur_in_h, to_schur_basis
 from .tableaux import ribbon_function
@@ -53,6 +63,9 @@ def format_terms(terms, letter):
                     lambda c, name: f"{letter}[{name}]" if c == "1" else f"{c} {letter}[{name}]")
 
 
+_ZERO = QPoly()
+
+
 class QLRTable:
     """All q-Littlewood-Richardson coefficients of one skew shape."""
 
@@ -60,16 +73,17 @@ class QLRTable:
         self.outer = outer
         self.inner = inner
         self.n = n
-        # {nu: QPoly}, dense over the nu of degree m in partitions_of order; other keys are dropped
+        # {nu: QPoly}, dense over the nu of degree m in partitions_of order; other keys are
+        # dropped, and every zero entry is the one shared _ZERO (a QPoly is never changed)
         given = entries or {}
-        self.entries = {nu: given.get(nu) or QPoly() for nu in partitions_of(self.degree)}
+        self.entries = {nu: given.get(nu) or _ZERO for nu in partitions_of(self.degree)}
 
     @property
     def degree(self):
         return (sum(self.outer) - sum(self.inner)) // self.n
 
     def coefficient(self, nu):
-        return self.entries.get(tuple(nu), QPoly.zero())
+        return self.entries.get(tuple(nu), _ZERO)
 
     def to_json(self):
         return {
@@ -111,10 +125,46 @@ def qlr_via_expansion(outer, inner, n):
     return QLRTable(tuple(outer), tuple(inner), n, to_schur_basis(monomial, degree))
 
 
+def _pairings(outer, inner, n, nus):
+    """{alpha: ((exponent, coefficient), ...)} for the alpha in nus with
+    <h_alpha . inner, outer> != 0, nus being the partitions of the degree.
+
+    Each pairing is <h_alpha[1:] . inner, h_alpha[0]^perp . outer>: the
+    strips removed from outer, dotted with the memoized h_alpha[1:] . inner,
+    so no vector of the full degree is built.  The alpha go in lexicographic
+    order, so alpha[0] never falls and its strips are fetched once.  The
+    first alpha with alpha[0] = k is (k, 1^(m-k)).  A ribbon tableau of any
+    later weight refines to one of that weight with the same spin (each
+    strip but the top one splits into single ribbons, the top one into
+    single ribbons and a last strip of k), and a pairing sums q^spin over
+    tableaux, so a zero there ends the search: for k = 1, no standard
+    ribbon tableau means no tableau at all.
+    """
+    hits, k = {}, None
+    for alpha in reversed(nus):
+        top = alpha[0] if alpha else 0  # m = 0 pairs outer with inner itself
+        first = top != k
+        if first:
+            k, strips = top, horizontal_strips(outer, n, top, remove=True)
+        tail = _h_vector(inner, n, alpha[1:])
+        hit = {}
+        for mu, spin in strips:
+            flat = tail.get(mu)
+            if flat:
+                for e, x in terms(flat):
+                    hit[e + spin] = hit.get(e + spin, 0) + x
+        if hit:
+            hits[alpha] = tuple(hit.items())
+        elif first:
+            break
+    return hits
+
+
 def qlr_table_via_operators(outer, inner, n):
     """Every <s_nu(u) . inner, outer>, summed on raw {exponent: int} dicts.
 
-    Each pairing <h_alpha . inner, outer> is read once; the Jacobi-Trudi
+    Each pairing <h_alpha . inner, outer> is read once (_pairings), with
+    its top factor h_alpha[0] removed from the outer shape; the Jacobi-Trudi
     terms of a partition nu are partitions of the same size.  Like the
     expansion route it raises ValueError when n does not divide the skew
     size or inner is not contained in outer.
@@ -123,11 +173,7 @@ def qlr_table_via_operators(outer, inner, n):
     if size % n:
         raise ValueError(f"skew size {size} is not a multiple of {n}")
     nus = partitions_of(size // n)
-    hits = {}
-    for alpha in nus:
-        hit = _h_vector(inner, n, alpha).get(outer)
-        if hit:
-            hits[alpha] = tuple(terms(hit))
+    hits = _pairings(outer, inner, n, nus)
     # strips only add cells, so a hit already shows inner is inside outer
     if not hits and not contains(outer, inner):
         raise ValueError("inner partition not contained in outer")

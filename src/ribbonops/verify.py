@@ -383,10 +383,12 @@ def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
     the words span.  One loop ranks cutoffs n apart.  Without an explicit
     max_size it starts at max(n (k + 1), n k^2) and stops when three
     consecutive cutoffs give the same rank, or unstable at the first cutoff
-    past 40 n; with one, it ranks max_size - n and max_size and is stable
-    when the two agree, and the 40 n cap does not apply.  Either way
-    "stable" means the rank stopped growing over the cutoffs tried: it is
-    evidence of convergence, not a proof.
+    past 40 n; a start too late for three cutoffs (k >= 7) is a ValueError
+    before anything is built.  With an explicit max_size it ranks
+    max_size - n and max_size and is stable when the two agree, and the
+    40 n cap does not apply.  Either way "stable" means the rank stopped
+    growing over the cutoffs tried: it is evidence of convergence, not a
+    proof.
 
     Each rank is exact over Q(q).  It is computed once with q set to a
     seeded random integer modulo the prime 2^61 - 1; when that reaches the
@@ -412,6 +414,10 @@ def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
     # rank cutoffs n apart until `need` ranks in a row agree or the cutoff reaches `last`
     if max_size is None:
         max_size, need, last = max(n * (k + 1), n * k * k), 3, 40 * n + 1
+        if max_size + n >= last:  # k >= 7: the loop would stop before a third rank
+            raise ValueError(
+                f"automatic cutoffs for k={k} start at {max_size}, too close to the cap "
+                f"40n={40 * n} for three ranks to agree; pass --max-size to choose one")
     else:
         max_size, need, last = max_size - n, 2, max_size
     history = []

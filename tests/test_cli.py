@@ -445,6 +445,17 @@ def test_dim_rejects_cutoff_below_n(capsys):
     assert err.strip().startswith("error: max_size must be >= n=2")
 
 
+def test_dim_rejects_an_automatic_cutoff_past_the_cap(capsys, monkeypatch):
+    def word_matrices(*args):
+        raise AssertionError("no word matrix may be built")
+
+    monkeypatch.setattr(verify, "_word_matrices", word_matrices)
+    code, out, err = run(capsys, "dim", "--n", "1", "--k", "7")
+    assert code == 2 and out == ""
+    assert err.startswith("error: automatic cutoffs for k=7 start at 49")
+    assert err.endswith("pass --max-size to choose one\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--k", "0"), "k must be >= 1, got 0"),
     (("--k", "-1"), "k must be >= 1, got -1"),

@@ -9,7 +9,7 @@ import importlib
 import pkgutil
 
 import ribbonops
-from ribbonops import operators, symfunc, tableaux
+from ribbonops import operators, qlr, symfunc, tableaux
 from ribbonops.partitions import partitions_of
 from ribbonops.qlr import qlr_table_via_operators, qlr_via_expansion
 
@@ -72,6 +72,27 @@ def test_operator_route_leaves_the_chain_table_empty():
     assert tableaux._chains_below.cache_info().currsize == 0
 
 
+def test_operator_route_builds_no_vector_of_the_full_degree(monkeypatch):
+    # h_alpha[0] comes off the outer shape, so h_alpha . inner is never built
+    # for a whole alpha |- 9; the spy sees every key the table is asked for
+    for fn in memo_tables().values():
+        fn.cache_clear()
+    asked = set()
+    real = operators._h_vector
+
+    def spy(la, n, alpha):
+        asked.add((la, n, alpha))
+        return real(la, n, alpha)
+
+    monkeypatch.setattr(operators, "_h_vector", spy)
+    monkeypatch.setattr(qlr, "_h_vector", spy)
+    table = qlr_table_via_operators((9, 5, 2, 1, 1), (), 2)
+    assert any(table.entries.values())
+    assert real.cache_info().currsize == len(asked) > 0
+    assert max(sum(alpha) for _, _, alpha in asked) == 8
+    assert tableaux._chains_below.cache_info().currsize == 0
+
+
 def test_the_big_tables_hold_nothing_the_collector_walks():
     # the two tables that grow through a long sweep keep flat int tuples,
     # which a collection untracks, not QPoly, FockVec or nested dicts
@@ -86,15 +107,18 @@ def test_the_big_tables_hold_nothing_the_collector_walks():
               tableaux._chains_below.cache_info().misses)
     values = 0
     for outer, inner, n in shapes:
-        for alpha in partitions_of((sum(outer) - sum(inner)) // n):
-            for table in (operators._h_vector(inner, n, alpha),
-                          tableaux._chains_below(outer, n, alpha)):
-                assert type(table) is dict and not gc.is_tracked(table)
-                for key, flat in table.items():
-                    assert not gc.is_tracked(key) and not gc.is_tracked(flat)
-                    assert type(flat) is tuple and len(flat) % 2 == 0
-                    assert all(type(x) is int for x in flat)
-                    values += 1
+        nus = partitions_of((sum(outer) - sum(inner)) // n)
+        # the operator route fills h_alpha[1:] . inner for each alpha it pairs
+        # (it removes alpha[0] from outer), the expansion route every chain table
+        read = qlr._pairings(outer, inner, n, nus)
+        tails = [operators._h_vector(inner, n, alpha[1:]) for alpha in read]
+        for table in tails + [tableaux._chains_below(outer, n, alpha) for alpha in nus]:
+            assert type(table) is dict and not gc.is_tracked(table)
+            for key, flat in table.items():
+                assert not gc.is_tracked(key) and not gc.is_tracked(flat)
+                assert type(flat) is tuple and len(flat) % 2 == 0
+                assert all(type(x) is int for x in flat)
+                values += 1
     # every read above was a hit, so it saw the values the routes left behind
     assert (operators._h_vector.cache_info().misses,
             tableaux._chains_below.cache_info().misses) == misses

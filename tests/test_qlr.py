@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from ribbonops import qlr
+from ribbonops import operators, qlr
 from ribbonops.partitions import (
     core_and_quotient,
     from_core_and_quotient,
@@ -17,7 +17,7 @@ from ribbonops.qlr import (
     qlr_via_expansion,
     qlr_via_operators,
 )
-from ribbonops.qpoly import QPoly
+from ribbonops.qpoly import QPoly, terms
 from oracles import kostka_foulkes_by_charge, lr_coefficient
 
 
@@ -30,6 +30,36 @@ def test_worked_rectangle_table():
     assert table.coefficient((1, 1, 1, 1)) == QPoly.zero()
     # dense: every partition of the degree is present
     assert set(table.entries) == set(partitions_of(4))
+
+
+def test_each_pairing_matches_the_full_degree_vector():
+    # the route removes h_alpha[0] from outer; building h_alpha . inner all the
+    # way up and reading outer must give the same pairing, for every alpha
+    # (those the stop rule skips included: they must be zero)
+    cases = nonzero = 0
+    for outer in partitions_up_to(10):
+        for inner in subpartitions(outer):
+            size = sum(outer) - sum(inner)
+            for n in (1, 2, 3):
+                if size % n:
+                    continue
+                nus = partitions_of(size // n)
+                read = qlr._pairings(outer, inner, n, nus)
+                for alpha in nus:
+                    flat = operators._h_vector(inner, n, alpha).get(outer, ())
+                    assert dict(read.get(alpha, ())) == dict(terms(flat)), (outer, inner, n, alpha)
+                    cases += 1
+                    nonzero += bool(flat)
+    assert (cases, nonzero) == (25644, 15553)
+
+
+@pytest.mark.parametrize("outer, inner, n", [((7, 2), (), 3), ((3, 2), (2, 1), 2)])
+def test_shapes_with_different_cores_have_an_all_zero_table(outer, inner, n):
+    assert core_and_quotient(outer, n)[0] != core_and_quotient(inner, n)[0]
+    for route in (qlr_table_via_operators, qlr_via_expansion):
+        table = route(outer, inner, n)
+        assert list(table.entries) == list(partitions_of(table.degree))
+        assert not any(table.entries.values())
 
 
 def test_both_routes_agree_on_a_grid():

@@ -109,3 +109,19 @@ def test_cli_main_reads_only_n_and_func():
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
              and isinstance(node.args[0], ast.Name) and node.args[0].id == "args"}
     assert read <= {"n", "func"}, f"cli.main reads args.{sorted(read - {'n', 'func'})}"
+
+
+def test_operator_route_names_nothing_of_the_expansion_route():
+    # static twin of the runtime check that the operator route leaves the
+    # chain table empty: neither it nor a qlr function it calls, however
+    # deep, names the tableau chains or the ribbon function
+    funcs = {node.name: node for node in TREES["qlr"].body if isinstance(node, ast.FunctionDef)}
+    todo, seen = ["qlr_table_via_operators"], set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_names([funcs[name]]) & set(funcs))
+    named = _names(funcs[name] for name in seen)
+    assert len(seen) > 1
+    assert not named & {"_chains_below", "ribbon_function"}, sorted(seen)

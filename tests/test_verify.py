@@ -284,6 +284,23 @@ def test_automatic_cutoff_gives_up_past_forty_n(monkeypatch):
     assert rep.max_size == 41 and not rep.stable and (rep.rank, rep.rank_smaller) == (41, 40)
 
 
+@pytest.mark.parametrize("n, k, start", [(1, 7, 49), (2, 7, 98), (3, 10, 300)])
+def test_automatic_cutoff_too_late_for_three_ranks_builds_nothing(monkeypatch, n, k, start):
+    def word_matrices(*args):
+        raise AssertionError("no word matrix may be built")
+
+    monkeypatch.setattr(verify, "_word_matrices", word_matrices)
+    with pytest.raises(ValueError, match=f"k={k} start at {start}.*pass --max-size"):
+        algebra_dimension(n, k)
+
+
+def test_automatic_cutoff_at_k_6_still_fits_three_ranks(monkeypatch):
+    tried = _stub_ranks(monkeypatch, lambda size: 7)
+    rep = algebra_dimension(1, 6)
+    assert tried == [36, 37, 38]
+    assert rep.stable and rep.max_size == 38
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_dimension_needs_a_generator(k):
     with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
