@@ -63,6 +63,11 @@ def _window(text):
         raise argparse.ArgumentTypeError(f"window must look like lo:hi, got {text!r}")
 
 
+def _require_window(window):
+    if window and window[0] > window[1]:
+        raise ValueError(f"--window lo:hi needs lo <= hi, got {window[0]}:{window[1]}")
+
+
 def _emit(payload):
     print(json.dumps(payload, indent=2))
 
@@ -156,6 +161,7 @@ def _cmd_tableaux(args):
 def _cmd_strips(args):
     if args.weight < 0:
         raise ValueError(f"--weight must be >= 0, got {args.weight}")
+    _require_window(args.window)
     lo, hi = args.window or (float("-inf"), float("inf"))
     strips = ribbon_strips(args.inner, args.n, args.weight, -1 if args.remove else 1, args.remove)
     hits = [(la, spin) for la, spin, heads in strips
@@ -198,6 +204,7 @@ def _cmd_apply(args):
 def _cmd_monomials(args):
     from .positive import monomials_in_window
 
+    _require_window(args.window)
     words = monomials_in_window(args.nu, args.n, args.window)
     if args.format == "json":
         _emit({"n": args.n, "nu": list(args.nu), "window": list(args.window),

@@ -10,8 +10,10 @@ B_k = p_k(u)^perp goes through an expansion: by Murnaghan-Nakayama, p_k is
 the alternating sum of the hook schur functions s_{(k-b, 1^b)}, and the
 paper's positive hook formula makes each B_{-k}, and its transpose B_k, one
 pass of signed single-ribbon-word moves.  B_{-k} adds each hook word as two
-ribbon strips; B_k removes the same strips in reverse.  The diagonal
-operators read their weights from ribbon_slots, also in one signed pass.
+ribbon strips, a descending run shared by all hooks of its size and an
+ascending one; B_k removes the same strips in reverse.  The strips and the
+diagonal operators, in one signed pass too, read partitions.ribbon_moves,
+the one table of every single-ribbon move of a shape.
 
 Words store letters in product order: apply_word((2, 1, 3, 0), n, v)
 computes u_2 u_1 u_3 u_0 . v, so the rightmost letter acts first.
@@ -25,11 +27,11 @@ from functools import cache
 from .fock import FockVec, _scatter, signed_map
 from .partitions import (
     add_ribbon,
-    hook_strips,
     horizontal_strips,
     parse_partition,
     remove_ribbon,
-    ribbon_slots,
+    ribbon_moves,
+    ribbon_strips,
 )
 from .qpoly import frozen, qbracket, terms
 from .symfunc import elementary_in_h, schur_in_h, skew_schur_in_h
@@ -142,15 +144,25 @@ def _B_moves(la, n, k):
 
     p_m = sum_{b<m} (-1)^b s_{(m-b, 1^b)} (Murnaghan-Nakayama).  Each hook
     term contributes the words of its positive formula (hook_strips): added
-    to la for k = -m, removed from it, run backwards, for k = m.  Equal
-    (mu, spin) merge and cancelled ones are dropped.
+    to la for k = -m, removed from it, run backwards, for k = m.  A word
+    opens with j descending heads, j = b + 1 for k = -m and m - b for k = m,
+    and ends with m - j ascending ones, so one descending walk serves all m
+    hooks: levels[j] holds its strips of j ribbons.  The hooks are tallied
+    in the order of b; equal (mu, spin) merge and cancelled ones are dropped.
     """
-    m = abs(k)
+    m, remove = abs(k), k > 0
+    levels = [[(la, 0, None)]]
+    for _ in range(m):
+        levels.append([(low, spin + sp, heads[0])
+                       for cur, spin, last in levels[-1]
+                       for low, sp, heads in ribbon_strips(cur, n, 1, -1, remove, after=last)])
     tally = {}
     for b in range(m):
+        j = m - b if remove else b + 1
         sign = -1 if b % 2 else 1
-        for mu, spin, _ in hook_strips(la, n, m - b, b, remove=k > 0):
-            tally[mu, spin] = tally.get((mu, spin), 0) + sign
+        for low, low_spin, last in levels[j]:
+            for mu, spin, _ in ribbon_strips(low, n, m - j, 1, remove, after=last):
+                tally[mu, low_spin + spin] = tally.get((mu, low_spin + spin), 0) + sign
     return _grouped(tally)
 
 
@@ -166,11 +178,12 @@ def apply_B(k, n, v):
 
 
 def _diag_moves(la, n, j, keep):
-    """Signed moves of (u_i d_i)^j - (d_i u_i)^j on la, summed over the slots
-    whose head diagonal i passes keep(i): -q^(2 j spin) for an addable
+    """Signed moves of (u_i d_i)^j - (d_i u_i)^j on la, summed over the
+    ribbon_moves heads i that pass keep(i): -q^(2 j spin) for an addable
     ribbon, +q^(2 j spin) for a removable one."""
-    return [(-1 if s.kind == "add" else 1, ((la, 2 * j * s.spin),))
-            for s in ribbon_slots(la, n) if keep(s.diagonal)]
+    return [(sign, ((la, 2 * j * spin),))
+            for sign, remove in ((-1, False), (1, True))
+            for i, (_, spin) in ribbon_moves(la, n, remove).items() if keep(i)]
 
 
 def apply_diag(i, j, n, v):

@@ -1,4 +1,4 @@
-"""Partitions, their edge sequences, and single n-ribbon moves.
+"""Partitions, their edge sequences, and n-ribbon moves.
 
 Partitions are plain tuples of weakly decreasing positive ints, hashable so
 everything downstream can memoize on them.  The n-ribbon calculus runs on
@@ -6,6 +6,7 @@ the edge (Maya) sequence S(la) = {la_k - k : k >= 1}, a co-finite downward
 set of integers: a ribbon with head on diagonal i is addable iff i-n lies in
 S and i does not, the move swaps those two members, and the spin (rows of
 the ribbon minus one) counts the members of S strictly between i-n and i.
+Strips read all moves of a shape off one table, ribbon_moves.
 """
 
 from __future__ import annotations
@@ -114,52 +115,54 @@ def subpartitions(la):
 
 
 def _beta(la, m):
-    """First m members of S(la), largest first."""
+    """First max(m, len(la)) members of S(la), ascending."""
     l = len(la)
-    return [la[k] - k - 1 for k in range(l)] + [-k for k in range(l + 1, m + 1)]
+    return [-k for k in range(m, l, -1)] + [la[k] - k - 1 for k in range(l - 1, -1, -1)]
 
 
 def _from_beta(beta):
     """Rebuild the partition from a full initial segment of its edge sequence."""
-    out = []
-    for k, b in enumerate(sorted(beta, reverse=True), start=1):
-        p = b + k
-        if p:
-            out.append(p)
-    return tuple(out)
+    return tuple(p for k, b in enumerate(sorted(beta, reverse=True), 1) if (p := b + k))
 
 
-def _members(la, n):
-    """The first len(la) + n members of S(la), ascending: every member from
-    -len(la) - n up, so both ends of each n-ribbon move and all between."""
-    return _beta(la, len(la) + n)[::-1]
-
-
-def _spin(members, i, n):
-    """Members strictly between i - n and i: the spin of a ribbon with head i."""
-    return bisect_left(members, i) - bisect_right(members, i - n)
-
-
-def _move(la, n, src, dst):
-    """(mu, spin) with S(mu) = S(la) - {src} + {dst}, dst = src +- n, else None.
-
-    The move needs src in S(la) and dst outside it; below -len(la) - n every
-    integer is a member, so dst there gives no move.
-    """
-    if dst < -len(la) - n:
+def _slot(members, b, n, remove):
+    """(head, spin, t, r) moving b in members = _beta(la, len(la) + n) by
+    n, else None; the ribbon fills rows t..r = t + spin."""
+    j, top = bisect_left(members, b), len(members)
+    if members[j : j + 1] != [b]:
         return None
-    members = _members(la, n)
-    if src not in members or dst in members:
-        return None
-    spin = _spin(members, max(src, dst), n)
-    members[members.index(src)] = dst
-    return _from_beta(members), spin
+    if remove:
+        p = bisect_right(members, b - n)
+        if p and members[p - 1] != b - n:
+            return b, j - p, top - j, top - p
+    else:
+        p = bisect_left(members, b + n)
+        if members[p : p + 1] != [b + n]:
+            return b + n, p - j - 1, top + 1 - p, top - j
+    return None
+
+
+def _moved(la, n, slot, remove):
+    """(mu, spin): adding puts i + t in row t and moves rows t..r-1 down a
+    row, each a box longer; removing undoes that."""
+    i, spin, t, r = slot
+    if remove:
+        run = tuple(p for p in (*(x - 1 for x in la[t:r]), i - n + r) if p)
+    else:
+        la += (0,) * (r - len(la))
+        run = (i + t, *(x + 1 for x in la[t - 1 : r - 1]))
+    return la[: t - 1] + run + la[r:], spin
+
+
+def _single(la, i, n, remove):
+    slot = _slot(_beta(la, len(la) + n), i if remove else i - n, n, remove)
+    return slot and _moved(la, n, slot, remove)
 
 
 @cache
 def add_ribbon(la, i, n):
     """(mu, spin) where mu = la plus an n-ribbon with head on diagonal i, else None."""
-    return _move(la, n, i - n, i)
+    return _single(la, i, n, False)
 
 
 @cache
@@ -169,59 +172,53 @@ def remove_ribbon(la, i, n):
     Exact inverse of add_ribbon: remove_ribbon(la, i, n) == (mu, s) iff
     add_ribbon(mu, i, n) == (la, s).
     """
-    return _move(la, n, i, i - n)
+    return _single(la, i, n, True)
 
 
 def diagonal_window(la, n, k=1):
     """(lo, hi) covering every head diagonal reachable by <= k n-ribbon moves."""
-    rows = len(la)
-    cols = la[0] if la else 0
-    return -(rows + n * k), cols + n * k
+    return -(len(la) + n * k), (la[0] if la else 0) + n * k
 
 
 @cache
-def ribbon_slots(la, n):
-    """All addable/removable n-ribbon slots, ascending by head diagonal.
+def ribbon_moves(la, n, remove=False):
+    """{head: (mu, spin)} of each n-ribbon added to la (removed with
+    remove=True), heads ascending."""
+    members = _beta(la, len(la) + n)
+    slots = (_slot(members, b, n, remove) for b in members)
+    return {slot[0]: _moved(la, n, slot, remove) for slot in slots if slot}
 
-    A slot moves a member b of S(la) to b + n (add) or b to b - n (remove),
-    the moves of add_ribbon and remove_ribbon; the members and the spin
-    count are theirs too (_members, _spin).
-    """
-    members = _members(la, n)
-    bset = set(members)
-    out = []
-    for b in members:
-        if b + n not in bset:
-            out.append((b + n, "add"))
-        # every integer below -len(la) is a member, listed here or not
-        if b - n not in bset and b >= n - len(la):
-            out.append((b, "remove"))
-    return tuple(RibbonSlot(i, kind, _spin(members, i, n)) for i, kind in sorted(out))
+
+def ribbon_slots(la, n):
+    """All addable/removable n-ribbon slots, ascending by head diagonal."""
+    members = _beta(la, len(la) + n)
+    return tuple(sorted(RibbonSlot(slot[0], kind, slot[1]) for b in members
+                        for kind in ("add", "remove")
+                        if (slot := _slot(members, b, n, kind == "remove"))))
 
 
 def ribbon_strips(la, n, k, sign=1, remove=False, after=None):
     """(mu, spin, heads) over k n-ribbon additions to la, or removals from it.
 
-    The head diagonals strictly increase in sign * diagonal along the way,
-    starting past `after` when it is given (a run that continues an earlier
-    one); the total spin is the sum of the ribbon spins.  Results come in
-    lexicographic order of the head tuples.  The strips grow one ribbon per
-    level, without recursion, so k is not bounded by the recursion limit.
-    Not memoized: callers that need no heads use horizontal_strips.
+    The heads strictly increase in sign * diagonal, past `after` when it is
+    given (a run continuing an earlier one); spin is the total.  Results
+    come in lexicographic order of the head tuples.  Each level reads
+    ribbon_moves, without recursion, so k is not bounded by the recursion
+    limit.  Not memoized: callers needing no heads use horizontal_strips.
     """
     if k < 0:
         raise ValueError(f"a strip needs k >= 0 ribbons, got {k}")
-    kind, move = ("remove", remove_ribbon) if remove else ("add", add_ribbon)
     level = [(la, 0, ())]
     for _ in range(k):
         # extending a lexicographic list head by head keeps it lexicographic
         grown = []
         for cur, spin, heads in level:
             last = heads[-1] if heads else after
-            for s in ribbon_slots(cur, n):
-                if s.kind == kind and (last is None or sign * s.diagonal > sign * last):
-                    nxt, sp = move(cur, s.diagonal, n)
-                    grown.append((nxt, spin + sp, heads + (s.diagonal,)))
+            for i, (nxt, sp) in ribbon_moves(cur, n, remove).items():
+                if last is None or sign * i > sign * last:
+                    grown.append((nxt, spin + sp, heads + (i,)))
+                elif sign < 0:
+                    break  # the heads ascend: none later is below last
         level = grown
     return level
 
@@ -234,8 +231,7 @@ def hook_strips(la, n, a, b, remove=False):
     remove=True the same words run backwards on la: the arm comes off first,
     a ribbons with descending heads, then the leg, b ribbons with heads
     ascending after the last arm head.  heads lists the ribbons in the order
-    they move and spin is their total.  A generator: its callers read it
-    once, and B_{-k} never holds all of its words at a time.
+    they move and spin is their total.
     """
     down, up = (a, b) if remove else (b + 1, a - 1)
     for low, low_spin, first in ribbon_strips(la, n, down, -1, remove):

@@ -5,7 +5,8 @@ fillings, with none of the edge-sequence machinery the library uses, so an
 agreement test actually compares two different computations.  The rest are
 the library's earlier algorithms, kept as oracles for their replacements:
 the Jacobi-Trudi determinant by permutations, the power sums and the
-Heisenberg generators by Newton's identity, the rank over Q(q) by Bareiss
+Heisenberg generators by Newton's identity, the Heisenberg moves tallied
+one hook at a time, the rank over Q(q) by Bareiss
 elimination, the ribbon tableau weight polynomials by a forward strip
 search and the strip heads of a tableau by a removal strip search; and
 helpers only tests read: Fock and monomial coefficients (the latter through
@@ -18,7 +19,14 @@ from itertools import permutations
 
 from ribbonops.fock import FockVec
 from ribbonops.operators import apply_expansion, apply_h_perp
-from ribbonops.partitions import cells, contains, horizontal_strips, partitions_of, ribbon_strips
+from ribbonops.partitions import (
+    cells,
+    contains,
+    hook_strips,
+    horizontal_strips,
+    partitions_of,
+    ribbon_strips,
+)
 from ribbonops.positive import formula_words
 from ribbonops.qpoly import QPoly
 
@@ -286,6 +294,21 @@ def apply_B_by_newton(k, n, v):
     if k < 0:
         return apply_expansion(power_in_h(-k), n, v)
     return apply_expansion_perp(power_in_h(k), n, v)
+
+
+def B_moves_by_hooks(la, n, k):
+    """{(mu, spin): c}, c != 0, of B_k on la, tallied one hook at a time.
+
+    p_m = sum_{b<m} (-1)^b s_{(m-b, 1^b)}, and each hook term adds the words
+    of its positive formula, partitions.hook_strips, to la for k = -m and
+    removes them for k = m; every hook walks its own descending run.
+    """
+    m = abs(k)
+    tally = {}
+    for b in range(m):
+        for mu, spin, _ in hook_strips(la, n, m - b, b, remove=k > 0):
+            tally[mu, spin] = tally.get((mu, spin), 0) + (-1) ** b
+    return {key: c for key, c in tally.items() if c}
 
 
 def divexact(a, b):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -250,6 +251,18 @@ def test_strips_rejects_a_negative_weight(capsys, direction):
     assert err == "error: --weight must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("verb", [
+    ("strips", "--n", "1", "--inner", "-", "--weight", "3"),
+    ("monomials", "--n", "2", "--nu", "1,1"),
+])
+def test_an_inverted_window_is_a_usage_error(capsys, verb):
+    # lo > hi holds no diagonal, so it would print nothing and exit 0
+    code, out, err = run(capsys, *verb, "--window", "5:1")
+    assert (code, out, err) == (2, "", "error: --window lo:hi needs lo <= hi, got 5:1\n")
+    code, out, _ = run(capsys, *verb, "--window", "1:1")
+    assert code == 0
+
+
 def test_strips_window_filter(capsys):
     code, out, _ = run(capsys, "strips", "--n", "2", "--inner", "-",
                        "--weight", "1", "--window", "1:9")
@@ -352,6 +365,16 @@ def test_apply_negative_degree_is_zero(capsys, expr):
 def test_strips_longer_than_the_recursion_limit(capsys, argv, want):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, want + "\n", "")
+
+
+def test_apply_one_letter_on_a_huge_n_is_fast(capsys):
+    # u[5] makes one move; it never builds every move of (2, 1) at this n
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "apply", "--n", "20000", "u[5]", "--inner", "2,1")
+    elapsed = time.perf_counter() - t0
+    assert (code, err) == (0, "")
+    assert out == "q^19994·(6,3,2," + "1," * 19991 + "1)\n"
+    assert elapsed < 5.0, elapsed
 
 
 def test_apply_bad_expression(capsys):

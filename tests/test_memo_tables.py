@@ -9,15 +9,16 @@ import importlib
 import pkgutil
 
 import ribbonops
-from ribbonops import operators, qlr, symfunc, tableaux
-from ribbonops.partitions import partitions_of
+from ribbonops import operators, partitions, qlr, symfunc, tableaux
+from ribbonops.partitions import partitions_of, partitions_up_to
 from ribbonops.qlr import qlr_table_via_operators, qlr_via_expansion
+from ribbonops.verify import run_identity
 
 EXPECTED = {
     ("partitions", "partitions_of"),
     ("partitions", "add_ribbon"),
     ("partitions", "remove_ribbon"),
-    ("partitions", "ribbon_slots"),
+    ("partitions", "ribbon_moves"),
     ("partitions", "horizontal_strips"),
     ("symfunc", "skew_schur_in_h"),
     ("symfunc", "h_eval_at_q2"),
@@ -93,18 +94,32 @@ def test_operator_route_builds_no_vector_of_the_full_degree(monkeypatch):
     assert tableaux._chains_below.cache_info().currsize == 0
 
 
+def _tracked(value):
+    """Whether the collector walks value or anything nested in it."""
+    if gc.is_tracked(value):
+        return True
+    if isinstance(value, dict):
+        return any(_tracked(key) or _tracked(x) for key, x in value.items())
+    return isinstance(value, tuple) and any(map(_tracked, value))
+
+
 def test_the_big_tables_hold_nothing_the_collector_walks():
     # the two tables that grow through a long sweep keep flat int tuples,
-    # which a collection untracks, not QPoly, FockVec or nested dicts
+    # which a collection untracks, not QPoly, FockVec or nested dicts; the
+    # move, strip and B_k tables a verify sweep fills hold only tuples and
+    # ints too (no RibbonSlot, whose class the collector always tracks)
     shapes = (((4, 4, 4), (), 3), ((6, 4, 2), (1, 1), 2), ((5, 4, 3), (2, 1), 3),
               ((3, 3), (), 1))
     for outer, inner, n in shapes:
         qlr_table_via_operators(outer, inner, n)
         qlr_via_expansion(outer, inner, n)
+    for identity in ("heisenberg", "hcommute", "cauchy"):
+        assert run_identity(identity, 2, 3).ok
     gc.collect()
     gc.collect()
-    misses = (operators._h_vector.cache_info().misses,
-              tableaux._chains_below.cache_info().misses)
+    tables = (operators._h_vector, tableaux._chains_below, partitions.ribbon_moves,
+              partitions.horizontal_strips, operators._B_moves)
+    misses = [table.cache_info().misses for table in tables]
     values = 0
     for outer, inner, n in shapes:
         nus = partitions_of((sum(outer) - sum(inner)) // n)
@@ -119,7 +134,22 @@ def test_the_big_tables_hold_nothing_the_collector_walks():
                 assert type(flat) is tuple and len(flat) % 2 == 0
                 assert all(type(x) is int for x in flat)
                 values += 1
-    # every read above was a hit, so it saw the values the routes left behind
-    assert (operators._h_vector.cache_info().misses,
-            tableaux._chains_below.cache_info().misses) == misses
     assert values > 100
+    # a collection untracks a tuple only once all it holds is untracked, and
+    # its list may visit an outer tuple before an inner one, so a value that
+    # nests d tuples deep can take d collections; _B_moves nests five deep
+    for _ in range(3):
+        gc.collect()
+    swept = 0
+    for la in partitions_up_to(3):
+        # every shape of the sweep took each B_k, h_k and h_k^perp (k <= 3),
+        # read here with the arguments that apply_B, apply_h and apply_h_perp pass
+        for value in ([partitions.ribbon_moves(la, 2, remove) for remove in (False, True)]
+                      + [partitions.horizontal_strips(la, 2, k) for k in (1, 2, 3)]
+                      + [partitions.horizontal_strips(la, 2, k, remove=True) for k in (1, 2, 3)]
+                      + [operators._B_moves(la, 2, k) for k in (-3, -2, -1, 1, 2, 3)]):
+            assert not _tracked(value), (la, value)
+            swept += bool(value)
+    assert swept == 61  # of the 98 values read, the nonempty ones
+    # every read above was a hit, so it saw the values the routes left behind
+    assert [table.cache_info().misses for table in tables] == misses

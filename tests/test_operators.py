@@ -25,7 +25,7 @@ from ribbonops.operators import (
 )
 from ribbonops.partitions import diagonal_window, partitions_of, partitions_up_to, ribbon_slots
 from ribbonops.qpoly import QPoly, qbracket, terms
-from oracles import apply_B_by_newton, coefficient
+from oracles import B_moves_by_hooks, apply_B_by_newton, coefficient
 
 
 def basis(la):
@@ -182,6 +182,20 @@ def test_B_matches_newton_oracle_on_images():
                 w = apply_B_by_newton(l, n, basis(la))
                 for k in B_INDICES:
                     assert apply_B(k, n, w) == apply_B_by_newton(k, n, w), (n, la, l, k)
+
+
+def test_B_moves_match_the_hook_by_hook_tally():
+    # one descending run for every hook of a size, against one run per hook
+    cases = 0
+    for n in (1, 2, 3, 4):
+        for la in partitions_up_to(9):
+            for k in (-4, -3, -2, -1, 1, 2, 3, 4):
+                moves = operators._B_moves(la, n, k)
+                got = {pair: c for c, pairs in moves for pair in pairs}
+                assert len(got) == sum(len(pairs) for _, pairs in moves)
+                assert got == B_moves_by_hooks(la, n, k), (la, n, k)
+                cases += 1
+    assert cases == 3104
 
 
 def test_B_raising_fills_no_hook_word_memo():

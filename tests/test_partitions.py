@@ -21,6 +21,7 @@ from ribbonops.partitions import (
     partitions_of,
     partitions_up_to,
     remove_ribbon,
+    ribbon_moves,
     ribbon_slots,
     ribbon_strips,
 )
@@ -80,6 +81,27 @@ def test_ribbon_moves_match_cell_level_oracle():
                 assert remove_ribbon(la, i, n) == removals.get(i), (la, n, i)
                 cases += 1
     assert cases == 6024
+
+
+def test_the_move_table_matches_the_cell_level_oracle():
+    # every move of every shape of size <= 10, n <= 5, heads ascending; a
+    # removal from la is an oracle addition that ends at la
+    tables, moves = 0, Counter()
+    for n in range(1, 6):
+        additions = {la: ribbon_additions(la, n) for la in partitions_up_to(10)}
+        removals = {la: {} for la in additions}
+        for mu, table in additions.items():
+            for i, (la, spin) in table.items():
+                if la in removals:
+                    removals[la][i] = (mu, spin)
+        for la in additions:
+            assert list(ribbon_moves(la, n).items()) == sorted(additions[la].items()), (la, n)
+            assert (list(ribbon_moves(la, n, remove=True).items())
+                    == sorted(removals[la].items())), (la, n)
+            tables += 2
+            moves["add"] += len(additions[la])
+            moves["remove"] += len(removals[la])
+    assert tables == 1390 and moves == {"add": 3010, "remove": 925}
 
 
 def test_horizontal_strips_match_the_tiling_oracle():
@@ -169,6 +191,20 @@ def test_slots_of_a_long_ribbon_are_fast():
     elapsed = time.perf_counter() - t0
     assert len(slots) == n
     assert slots[0] == (-2, "add", n - 1) and slots[-1] == (n + 1, "add", 0)
+    assert elapsed < 5.0, elapsed
+
+
+def test_a_single_move_on_a_huge_n_is_fast():
+    # add_ribbon and remove_ribbon make the one move asked for; the table of
+    # every move of (2, 1) at this n would hold about 2 * 10^8 parts
+    n = 20000
+    column = (1,) * n
+    t0 = time.perf_counter()
+    mu, spin = add_ribbon((2, 1), 5, n)
+    assert remove_ribbon(column, 0, n) == ((), n - 1)
+    assert remove_ribbon(column, -n + 2, 2) == ((1,) * (n - 2), 1)
+    elapsed = time.perf_counter() - t0
+    assert mu[:4] == (6, 3, 2, 1) and (len(mu), sum(mu), spin) == (n - 5, n + 3, n - 6)
     assert elapsed < 5.0, elapsed
 
 

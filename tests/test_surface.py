@@ -125,3 +125,14 @@ def test_operator_route_names_nothing_of_the_expansion_route():
     named = _names(funcs[name] for name in seen)
     assert len(seen) > 1
     assert not named & {"_chains_below", "ribbon_function"}, sorted(seen)
+
+
+def test_strips_and_generators_read_the_move_table():
+    # the strips, B_k and the diagonal operators take every move of a shape
+    # from partitions.ribbon_moves, not one single move or slot at a time
+    funcs = {node.name: node for tree in TREES.values() for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    for name in ("ribbon_strips", "_B_moves", "_diag_moves"):
+        named = _names([funcs[name]])
+        assert "ribbon_moves" in named or "ribbon_strips" in named, name
+        assert not named & {"add_ribbon", "remove_ribbon", "ribbon_slots"}, name

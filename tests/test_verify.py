@@ -59,19 +59,70 @@ RELATION_RULE_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("n", sorted(RELATION_RULE_COUNTS))
-def test_relations_run_every_rule(monkeypatch, n):
+def _count_rules(monkeypatch, rule=lambda witness: witness["rule"]):
+    """{rule(witness): cases} filled as the checkers tally their cases."""
     counts = {}
     tally = VerificationReport.tally
 
     def spy(self, lhs, rhs, witness):
-        counts[witness["rule"]] = counts.get(witness["rule"], 0) + 1
+        counts[rule(witness)] = counts.get(rule(witness), 0) + 1
         tally(self, lhs, rhs, witness)
 
     monkeypatch.setattr(VerificationReport, "tally", spy)
+    return counts
+
+
+@pytest.mark.parametrize("n", sorted(RELATION_RULE_COUNTS))
+def test_relations_run_every_rule(monkeypatch, n):
+    counts = _count_rules(monkeypatch)
     rep = check_relations(n, 4)
     assert rep.ok and rep.cases == sum(counts.values())
     assert counts == RELATION_RULE_COUNTS[n]
+
+
+# cases per rule of the haction and heisenberg checkers at max_size 4, each
+# at its `verify --identity` parameters; the heisenberg witnesses carry k
+# and l, and "B_k v != 0" counts the nonzero images B_k takes, by the sign
+# of k, so that a generator that loses its moves changes a count here
+HACTION_RULE_COUNTS = {
+    2: {"closed form": 208, "full line": 24, "tail at add slot": 68,
+        "tail at remove slot": 20},
+    3: {"closed form": 256, "full line": 24, "tail at add slot": 84,
+        "tail at remove slot": 12},
+}
+HEISENBERG_RULE_COUNTS = {
+    2: {"[B_k, B_-k] = scalar": 72, "[B_k, B_l] = 0": 360,
+        "B_k v != 0, k < 0": 732, "B_k v != 0, k > 0": 306},
+    3: {"[B_k, B_-k] = scalar": 72, "[B_k, B_l] = 0": 360,
+        "B_k v != 0, k < 0": 684, "B_k v != 0, k > 0": 168},
+}
+
+
+@pytest.mark.parametrize("n", sorted(HACTION_RULE_COUNTS))
+def test_haction_runs_every_rule(monkeypatch, n):
+    counts = _count_rules(monkeypatch)
+    rep = run_identity("haction", n, 4)
+    assert rep.ok and rep.cases == sum(counts.values())
+    assert counts == HACTION_RULE_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(HEISENBERG_RULE_COUNTS))
+def test_heisenberg_runs_every_rule(monkeypatch, n):
+    counts = _count_rules(monkeypatch, lambda witness: "[B_k, B_-k] = scalar"
+                          if witness["k"] == -witness["l"] else "[B_k, B_l] = 0")
+    apply_B = verify.apply_B
+
+    def spy(k, *rest):
+        out = apply_B(k, *rest)
+        if out:
+            key = f"B_k v != 0, k {'<' if k < 0 else '>'} 0"
+            counts[key] = counts.get(key, 0) + 1
+        return out
+
+    monkeypatch.setattr(verify, "apply_B", spy)
+    rep = run_identity("heisenberg", n, 4)
+    assert rep.ok and rep.cases == counts["[B_k, B_-k] = scalar"] + counts["[B_k, B_l] = 0"]
+    assert counts == HEISENBERG_RULE_COUNTS[n]
 
 
 def test_reports_count_failures():
