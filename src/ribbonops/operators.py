@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
+from math import inf
 
 from .fock import FockVec, _scatter, signed_map
 from .partitions import (
@@ -151,11 +152,15 @@ def _B_moves(la, n, k):
     in the order of b; equal (mu, spin) merge and cancelled ones are dropped.
     """
     m, remove = abs(k), k > 0
-    levels = [[(la, 0, None)]]
+    levels = [[(la, 0, inf)]]
     for _ in range(m):
-        levels.append([(low, spin + sp, heads[0])
-                       for cur, spin, last in levels[-1]
-                       for low, sp, heads in ribbon_strips(cur, n, 1, -1, remove, after=last)])
+        level = []
+        for cur, spin, last in levels[-1]:
+            for i, (low, sp) in ribbon_moves(cur, n, remove).items():
+                if i >= last:
+                    break  # the heads ascend: none later is below last
+                level.append((low, spin + sp, i))
+        levels.append(level)
     tally = {}
     for b in range(m):
         j = m - b if remove else b + 1

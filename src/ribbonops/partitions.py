@@ -11,7 +11,7 @@ Strips read all moves of a shape off one table, ribbon_moves.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import cache
 from operator import le
 from typing import NamedTuple
@@ -27,7 +27,7 @@ def is_partition(la):
     return (
         isinstance(la, tuple)
         and all(isinstance(p, int) and p > 0 for p in la)
-        and all(la[i] >= la[i + 1] for i in range(len(la) - 1))
+        and all(map(le, la[1:], la))
     )
 
 
@@ -46,13 +46,11 @@ def parse_partition(text):
 
 
 def format_partition(la):
-    return ",".join(str(p) for p in la) if la else "-"
+    return ",".join(map(str, la)) if la else "-"
 
 
 def conjugate(la):
-    if not la:
-        return ()
-    return tuple(sum(1 for p in la if p >= c) for c in range(1, la[0] + 1))
+    return tuple(sum(p >= c for p in la) for c in range(1, la[0] + 1)) if la else ()
 
 
 def contains(la, mu):
@@ -69,11 +67,8 @@ def added_cells(mu, la):
     """Cells of la/mu, sorted by row then column."""
     if not contains(la, mu):
         raise ValueError("inner partition not contained in outer")
-    out = []
-    for r, p in enumerate(la, start=1):
-        lo = mu[r - 1] if r <= len(mu) else 0
-        out.extend((r, c) for c in range(lo + 1, p + 1))
-    return out
+    mu += (0,) * (len(la) - len(mu))
+    return [(r, c) for r, (p, lo) in enumerate(zip(la, mu), 1) for c in range(lo + 1, p + 1)]
 
 
 @cache
@@ -83,15 +78,10 @@ def partitions_of(m, max_part=None):
     This order is a linear extension of dominance, which the Kostka-matrix
     inversion relies on.
     """
-    if max_part is None or max_part > m:
-        max_part = m
     if m == 0:
         return ((),)
-    out = []
-    for p in range(max_part, 0, -1):
-        for rest in partitions_of(m - p, p):
-            out.append((p,) + rest)
-    return tuple(out)
+    top = m if max_part is None else min(max_part, m)
+    return tuple((p,) + rest for p in range(top, 0, -1) for rest in partitions_of(m - p, p))
 
 
 def partitions_up_to(m):
@@ -125,21 +115,27 @@ def _from_beta(beta):
     return tuple(p for k, b in enumerate(sorted(beta, reverse=True), 1) if (p := b + k))
 
 
-def _slot(members, b, n, remove):
-    """(head, spin, t, r) moving b in members = _beta(la, len(la) + n) by
-    n, else None; the ribbon fills rows t..r = t + spin."""
-    j, top = bisect_left(members, b), len(members)
-    if members[j : j + 1] != [b]:
-        return None
+def _slot(members, j, p, n, remove):
+    """(head, spin, t, r) moving b = members[j] by n, else None; p counts
+    the members below b + n, or b - n + 1 on removal, and the ribbon fills
+    rows t..r = t + spin."""
+    b, top = members[j], len(members)
     if remove:
-        p = bisect_right(members, b - n)
         if p and members[p - 1] != b - n:
             return b, j - p, top - j, top - p
-    else:
-        p = bisect_left(members, b + n)
-        if members[p : p + 1] != [b + n]:
-            return b + n, p - j - 1, top + 1 - p, top - j
-    return None
+    elif p == top or members[p] != b + n:
+        return b + n, p - j - 1, top + 1 - p, top - j
+
+
+def _slots(la, n, remove):
+    """_slot of each move of la, heads ascending, in one pass over
+    _beta(la, len(la) + n): p only moves up."""
+    members, p, reach = _beta(la, len(la) + n), 0, 1 - n if remove else n
+    for j, b in enumerate(members):
+        while p < len(members) and members[p] < b + reach:
+            p += 1
+        if slot := _slot(members, j, p, n, remove):
+            yield slot
 
 
 def _moved(la, n, slot, remove):
@@ -155,8 +151,11 @@ def _moved(la, n, slot, remove):
 
 
 def _single(la, i, n, remove):
-    slot = _slot(_beta(la, len(la) + n), i if remove else i - n, n, remove)
-    return slot and _moved(la, n, slot, remove)
+    members, b = _beta(la, len(la) + n), i if remove else i - n
+    j = bisect_left(members, b)
+    if members[j : j + 1] == [b]:
+        p = bisect_left(members, b + (1 - n if remove else n))
+        return (slot := _slot(members, j, p, n, remove)) and _moved(la, n, slot, remove)
 
 
 @cache
@@ -184,17 +183,13 @@ def diagonal_window(la, n, k=1):
 def ribbon_moves(la, n, remove=False):
     """{head: (mu, spin)} of each n-ribbon added to la (removed with
     remove=True), heads ascending."""
-    members = _beta(la, len(la) + n)
-    slots = (_slot(members, b, n, remove) for b in members)
-    return {slot[0]: _moved(la, n, slot, remove) for slot in slots if slot}
+    return {slot[0]: _moved(la, n, slot, remove) for slot in _slots(la, n, remove)}
 
 
 def ribbon_slots(la, n):
     """All addable/removable n-ribbon slots, ascending by head diagonal."""
-    members = _beta(la, len(la) + n)
-    return tuple(sorted(RibbonSlot(slot[0], kind, slot[1]) for b in members
-                        for kind in ("add", "remove")
-                        if (slot := _slot(members, b, n, kind == "remove"))))
+    return tuple(sorted(RibbonSlot(slot[0], kind, slot[1]) for kind in ("add", "remove")
+                        for slot in _slots(la, n, kind == "remove")))
 
 
 def ribbon_strips(la, n, k, sign=1, remove=False, after=None):
@@ -263,11 +258,8 @@ def _runner_charges(la, n, m):
     runners = [[] for _ in range(n)]
     for b in _beta(la, m):
         runners[b % n].append(b // n)
-    charges = []
-    for r in range(n):
-        c_min = -((m + r) // n)  # smallest c with n*c + r >= -m
-        charges.append(c_min + len(runners[r]))
-    return runners, charges
+    # -((m + r) // n) is the smallest c with n*c + r >= -m
+    return runners, [len(runners[r]) - (m + r) // n for r in range(n)]
 
 
 def _from_runners(parts, runners, charges, n):
@@ -290,8 +282,7 @@ def core_and_quotient(la, n):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    m = len(la) + (-len(la)) % n
-    m = max(m, n)
+    m = max(len(la) + (-len(la)) % n, n)
     runners, charges = _runner_charges(la, n, m)
     quot = tuple(_from_beta([c - o for c in runner]) for runner, o in zip(runners, charges))
     core = _from_runners(((),) * n, runners, charges, n)
@@ -300,7 +291,7 @@ def core_and_quotient(la, n):
 
 
 def is_core(la, n):
-    return all(s.kind != "remove" for s in ribbon_slots(la, n))
+    return not any(_slots(la, n, True))
 
 
 def from_core_and_quotient(core, quotient, n):

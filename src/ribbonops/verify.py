@@ -3,7 +3,9 @@
 Every checker sweeps all partitions up to a size bound, compares both sides
 of an identity exactly, and returns a VerificationReport whose failures
 carry enough data to replay one bad case by hand; a sweep with no cases is
-not ok.
+not ok.  Each image of v is computed once per shape: a checker first builds,
+for the basis vector v of a shape, every single-operator image and every
+ordered product its rules read, and the rules then compare those images.
 
 algebra_dimension measures the rank of the span of u-word matrices on a
 truncated Fock space over the field Q(q) of rational functions in q, in one
@@ -115,24 +117,27 @@ def check_relations(n, max_size, shapes=None):
 
     def cases(la, v):
         lo, hi = diagonal_window(la, n, 2)
+        span = range(lo, hi + n + 1)
+        up = {i: apply_u(i, n, v) for i in span}
+        down = {i: apply_d(i, n, v) for i in range(lo, hi + 1)}
+        # uu[a, b] = u_a u_b v for the letter pairs in the window and those n apart
+        uu = {(a, b): apply_u(a, n, up[b]) for a in span for b in span
+              if max(a, b) <= hi or abs(a - b) == n}
         for i in range(lo, hi + 1):
-            yield (apply_u(i, n, apply_u(i, n, v)), zero,
-                   {"rule": "u_i u_i = 0", "i": i})
-            yield (apply_u(i + n, n, apply_u(i, n, apply_u(i + n, n, v))), zero,
+            yield uu[i, i], zero, {"rule": "u_i u_i = 0", "i": i}
+            yield (apply_u(i + n, n, uu[i, i + n]), zero,
                    {"rule": "u_{i+n} u_i u_{i+n} = 0", "i": i})
-            yield (apply_u(i, n, apply_u(i + n, n, apply_u(i, n, v))), zero,
+            yield (apply_u(i, n, uu[i + n, i]), zero,
                    {"rule": "u_i u_{i+n} u_i = 0", "i": i})
             for j in range(lo, i):
-                yield (apply_u(i, n, apply_d(j, n, v)), apply_d(j, n, apply_u(i, n, v)),
+                yield (apply_u(i, n, down[j]), apply_d(j, n, up[i]),
                        {"rule": "u_i d_j = d_j u_i", "i": i, "j": j})
-                yield (apply_u(j, n, apply_d(i, n, v)), apply_d(i, n, apply_u(j, n, v)),
+                yield (apply_u(j, n, down[i]), apply_d(i, n, up[j]),
                        {"rule": "u_j d_i = d_i u_j", "i": i, "j": j})
-                uij = apply_u(i, n, apply_u(j, n, v))
-                uji = apply_u(j, n, apply_u(i, n, v))
                 if i - j > n:
-                    yield uij, uji, {"rule": "far letters commute", "i": i, "j": j}
+                    yield uu[i, j], uu[j, i], {"rule": "far letters commute", "i": i, "j": j}
                 elif i - j < n:
-                    yield (uij, uji * QPoly.q_power(2),
+                    yield (uu[i, j], uu[j, i] * QPoly.q_power(2),
                            {"rule": "u_i u_j = q^2 u_j u_i", "i": i, "j": j})
 
     return _sweep("relations", n, {"max_size": max_size}, max_size, shapes, cases)
@@ -141,10 +146,10 @@ def check_relations(n, max_size, shapes=None):
 def check_h_commute(n, kmax, max_size, shapes=None):
     """Horizontal strip operators commute pairwise."""
     def cases(la, v):
+        h = {a: apply_h(a, n, v) for a in range(1, kmax + 1)}
         for a in range(1, kmax + 1):
             for b in range(a + 1, kmax + 1):
-                yield (apply_h(a, n, apply_h(b, n, v)), apply_h(b, n, apply_h(a, n, v)),
-                       {"a": a, "b": b})
+                yield apply_h(a, n, h[b]), apply_h(b, n, h[a]), {"a": a, "b": b}
 
     return _sweep("hcommute", n, {"kmax": kmax, "max_size": max_size},
                   max_size, shapes, cases)
@@ -153,13 +158,17 @@ def check_h_commute(n, kmax, max_size, shapes=None):
 def check_cauchy(n, amax, bmax, max_size, shapes=None):
     """h_b^perp h_a = sum_i h_i(1, q^2, ..., q^(2n-2)) h_{a-i} h_{b-i}^perp."""
     def cases(la, v):
+        up = [apply_h(a, n, v) for a in range(amax + 1)]
+        down = [apply_h_perp(b, n, v) for b in range(bmax + 1)]
+        # lhs[a][b] = h_b^perp h_a v and rhs[a][b] = h_a h_b^perp v
+        lhs = [[apply_h_perp(b, n, w) for b in range(bmax + 1)] for w in up]
+        rhs = [[apply_h(a, n, w) for w in down] for a in range(amax + 1)]
         for a in range(amax + 1):
             for b in range(bmax + 1):
-                rhs = FockVec.zero()
+                total = FockVec.zero()
                 for i in range(min(a, b) + 1):
-                    term = apply_h(a - i, n, apply_h_perp(b - i, n, v))
-                    rhs = rhs + term * h_eval_at_q2(i, n)
-                yield apply_h_perp(b, n, apply_h(a, n, v)), rhs, {"a": a, "b": b}
+                    total = total + rhs[a - i][b - i] * h_eval_at_q2(i, n)
+                yield lhs[a][b], total, {"a": a, "b": b}
 
     return _sweep("cauchy", n, {"amax": amax, "bmax": bmax, "max_size": max_size},
                   max_size, shapes, cases)
@@ -170,11 +179,12 @@ def check_heisenberg(n, kmax, max_size, shapes=None):
     ks = [k for k in range(-kmax, kmax + 1) if k != 0]
 
     def cases(la, v):
+        once = {l: apply_B(l, n, v) for l in ks}
+        twice = {(k, l): apply_B(k, n, once[l]) for k in ks for l in ks}
         for k in ks:
             for l in ks:
-                lhs = apply_B(k, n, apply_B(l, n, v)) - apply_B(l, n, apply_B(k, n, v))
                 rhs = v * heisenberg_scalar(k, n) if k == -l else FockVec.zero()
-                yield lhs, rhs, {"k": k, "l": l}
+                yield twice[k, l] - twice[l, k], rhs, {"k": k, "l": l}
 
     return _sweep("heisenberg", n, {"kmax": kmax, "max_size": max_size},
                   max_size, shapes, cases)
@@ -185,16 +195,19 @@ def check_haction(n, jmax, max_size, shapes=None):
     q-integer values of their tail sums along the diagonal line."""
     def cases(la, v):
         lo, hi = diagonal_window(la, n, 1)
+        slots = ribbon_slots(la, n)
+        # the j-th powers (d_i u_i)^j v and (u_i d_i)^j v, each one step on from the last
+        ud = dict.fromkeys(range(lo, hi + 1), v)
+        du = dict(ud)
         for j in range(1, jmax + 1):
             for i in range(lo, hi + 1):
-                ud, du = v, v
-                for _ in range(j):
-                    ud = apply_d(i, n, apply_u(i, n, ud))
-                    du = apply_u(i, n, apply_d(i, n, du))
-                yield du - ud, apply_diag(i, j, n, v), {"rule": "closed form", "i": i, "j": j}
+                ud[i] = apply_d(i, n, apply_u(i, n, ud[i]))
+                du[i] = apply_u(i, n, apply_d(i, n, du[i]))
+                yield (du[i] - ud[i], apply_diag(i, j, n, v),
+                       {"rule": "closed form", "i": i, "j": j})
             yield (apply_diag_sum_from(lo, j, n, v), v * (-qbracket(n, 2 * j)),
                    {"rule": "full line", "j": j})
-            for s in ribbon_slots(la, n):
+            for s in slots:
                 count = s.spin + 1 if s.kind == "add" else s.spin
                 yield (apply_diag_sum_from(s.diagonal, j, n, v),
                        v * (-qbracket(count, 2 * j)),

@@ -136,3 +136,18 @@ def test_strips_and_generators_read_the_move_table():
         named = _names([funcs[name]])
         assert "ribbon_moves" in named or "ribbon_strips" in named, name
         assert not named & {"add_ribbon", "remove_ribbon", "ribbon_slots"}, name
+
+
+def _applied_to(node):
+    """The vector argument of an apply_*(..., vector) call, else None."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", "").startswith("apply_") and node.args:
+        return node.args[-1]
+    return None
+
+
+def test_checkers_compose_through_their_images():
+    # each image of the basis vector v is computed once per shape and then
+    # read by every rule, so no apply_* call takes apply_*(..., v) as its vector
+    nested = [node.lineno for node in ast.walk(TREES["verify"])
+              if getattr(_applied_to(_applied_to(node)), "id", None) == "v"]
+    assert nested == [], f"verify applies an operator to apply_*(..., v) at lines {nested}"

@@ -83,7 +83,8 @@ def test_relations_run_every_rule(monkeypatch, n):
 # cases per rule of the haction and heisenberg checkers at max_size 4, each
 # at its `verify --identity` parameters; the heisenberg witnesses carry k
 # and l, and "B_k v != 0" counts the nonzero images B_k takes, by the sign
-# of k, so that a generator that loses its moves changes a count here
+# of k, so that a generator that loses its moves changes a count here; each
+# B_l v and B_k B_l v is built once per shape, 42 images in all
 HACTION_RULE_COUNTS = {
     2: {"closed form": 208, "full line": 24, "tail at add slot": 68,
         "tail at remove slot": 20},
@@ -92,9 +93,9 @@ HACTION_RULE_COUNTS = {
 }
 HEISENBERG_RULE_COUNTS = {
     2: {"[B_k, B_-k] = scalar": 72, "[B_k, B_l] = 0": 360,
-        "B_k v != 0, k < 0": 732, "B_k v != 0, k > 0": 306},
+        "B_k v != 0, k < 0": 186, "B_k v != 0, k > 0": 83},
     3: {"[B_k, B_-k] = scalar": 72, "[B_k, B_l] = 0": 360,
-        "B_k v != 0, k < 0": 684, "B_k v != 0, k > 0": 168},
+        "B_k v != 0, k < 0": 162, "B_k v != 0, k > 0": 54},
 }
 
 
@@ -123,6 +124,35 @@ def test_heisenberg_runs_every_rule(monkeypatch, n):
     rep = run_identity("heisenberg", n, 4)
     assert rep.ok and rep.cases == counts["[B_k, B_-k] = scalar"] + counts["[B_k, B_l] = 0"]
     assert counts == HEISENBERG_RULE_COUNTS[n]
+
+
+# cases per (a, b) of check_cauchy(n, 4, 4, 4) and check_h_commute(n, 4, 4),
+# in the order each shape runs them: one case per pair on each of the 12
+# partitions of size <= 4
+CAUCHY_PAIR_COUNTS = {
+    2: {(a, b): 12 for a in range(5) for b in range(5)},
+    3: {(a, b): 12 for a in range(5) for b in range(5)},
+}
+HCOMMUTE_PAIR_COUNTS = {
+    2: {(1, 2): 12, (1, 3): 12, (1, 4): 12, (2, 3): 12, (2, 4): 12, (3, 4): 12},
+    3: {(1, 2): 12, (1, 3): 12, (1, 4): 12, (2, 3): 12, (2, 4): 12, (3, 4): 12},
+}
+
+
+@pytest.mark.parametrize("n", sorted(CAUCHY_PAIR_COUNTS))
+def test_cauchy_runs_every_pair(monkeypatch, n):
+    counts = _count_rules(monkeypatch, lambda witness: (witness["a"], witness["b"]))
+    rep = check_cauchy(n, 4, 4, 4)
+    assert rep.ok and rep.cases == sum(counts.values())
+    assert list(counts.items()) == list(CAUCHY_PAIR_COUNTS[n].items())
+
+
+@pytest.mark.parametrize("n", sorted(HCOMMUTE_PAIR_COUNTS))
+def test_h_commute_runs_every_pair(monkeypatch, n):
+    counts = _count_rules(monkeypatch, lambda witness: (witness["a"], witness["b"]))
+    rep = check_h_commute(n, 4, 4)
+    assert rep.ok and rep.cases == sum(counts.values())
+    assert list(counts.items()) == list(HCOMMUTE_PAIR_COUNTS[n].items())
 
 
 def test_reports_count_failures():
@@ -180,8 +210,99 @@ FAULTS = {
 }
 
 
+# Per checker, under its fault at n = 2 and max_size 4: the witness of every
+# failure, in report order and grouped by shape, without lhs and rhs
+FAULT_WITNESSES = {
+    "relations": {
+        "-": ("rule=u_{i+n} u_i u_{i+n} = 0 i=-1", "rule=u_i u_i = 0 i=1",
+              "rule=u_i u_{i+n} u_i = 0 i=1", "rule=u_i u_j = q^2 u_j u_i i=1 j=0"),
+        "1": ("rule=u_{i+n} u_i u_{i+n} = 0 i=-1", "rule=u_i u_i = 0 i=1",
+              "rule=u_i u_j = q^2 u_j u_i i=2 j=1"),
+        "2": ("rule=u_{i+n} u_i u_{i+n} = 0 i=-1", "rule=u_i u_i = 0 i=1",
+              "rule=u_i u_{i+n} u_i = 0 i=1", "rule=u_i u_j = q^2 u_j u_i i=1 j=0"),
+        "1,1": ("rule=u_{i+n} u_i u_{i+n} = 0 i=-1", "rule=u_i u_i = 0 i=1",
+                "rule=u_i u_{i+n} u_i = 0 i=1", "rule=u_i u_j = q^2 u_j u_i i=2 j=1"),
+        "3": ("rule=u_{i+n} u_i u_{i+n} = 0 i=-1", "rule=u_i u_i = 0 i=1",
+              "rule=u_i u_j = q^2 u_j u_i i=1 j=0"),
+        "2,1": ("rule=u_i u_i = 0 i=1", "rule=u_i u_{i+n} u_i = 0 i=1"),
+        "1,1,1": ("rule=u_i u_i = 0 i=1", "rule=u_i u_{i+n} u_i = 0 i=1",
+                  "rule=u_i u_j = q^2 u_j u_i i=2 j=1"),
+        "4": ("rule=u_{i+n} u_i u_{i+n} = 0 i=-1", "rule=u_i u_i = 0 i=1",
+              "rule=u_i u_j = q^2 u_j u_i i=1 j=0"),
+        "3,1": ("rule=u_{i+n} u_i u_{i+n} = 0 i=-1", "rule=u_i u_i = 0 i=1",
+                "rule=u_i u_{i+n} u_i = 0 i=1"),
+        "2,2": ("rule=u_{i+n} u_i u_{i+n} = 0 i=-1", "rule=u_i u_i = 0 i=1",
+                "rule=u_i u_{i+n} u_i = 0 i=1", "rule=u_i u_j = q^2 u_j u_i i=2 j=1"),
+        "2,1,1": ("rule=u_i u_i = 0 i=1", "rule=u_i u_{i+n} u_i = 0 i=1",
+                  "rule=u_i u_j = q^2 u_j u_i i=1 j=0"),
+        "1,1,1,1": ("rule=u_{i+n} u_i u_{i+n} = 0 i=-1", "rule=u_i u_i = 0 i=1",
+                    "rule=u_i u_{i+n} u_i = 0 i=1", "rule=u_i u_j = q^2 u_j u_i i=2 j=1"),
+    },
+    "cauchy": {
+        "-": ("a=1 b=1", "a=2 b=1", "a=3 b=2", "a=4 b=3"),
+        "1": ("a=1 b=1", "a=2 b=1", "a=3 b=2", "a=4 b=3"),
+        "2": ("a=1 b=1", "a=1 b=2", "a=2 b=1", "a=2 b=2", "a=3 b=2", "a=3 b=3", "a=4 b=3",
+              "a=4 b=4"),
+        "1,1": ("a=1 b=1", "a=1 b=2", "a=2 b=1", "a=2 b=2", "a=3 b=2", "a=3 b=3", "a=4 b=3",
+                "a=4 b=4"),
+        "3": ("a=1 b=1", "a=1 b=2", "a=2 b=1", "a=2 b=2", "a=3 b=2", "a=3 b=3", "a=4 b=3",
+              "a=4 b=4"),
+        "2,1": ("a=1 b=1", "a=2 b=1", "a=3 b=2", "a=4 b=3"),
+        "1,1,1": ("a=1 b=1", "a=1 b=2", "a=2 b=1", "a=2 b=2", "a=3 b=2", "a=3 b=3", "a=4 b=3",
+                  "a=4 b=4"),
+        "4": ("a=1 b=1", "a=1 b=2", "a=1 b=3", "a=2 b=1", "a=2 b=2", "a=2 b=3", "a=3 b=2",
+              "a=3 b=3", "a=3 b=4", "a=4 b=3", "a=4 b=4"),
+        "3,1": ("a=1 b=1", "a=1 b=2", "a=1 b=3", "a=2 b=1", "a=2 b=2", "a=2 b=3", "a=3 b=2",
+                "a=3 b=3", "a=3 b=4", "a=4 b=3", "a=4 b=4"),
+        "2,2": ("a=1 b=1", "a=1 b=2", "a=1 b=3", "a=2 b=1", "a=2 b=2", "a=2 b=3", "a=3 b=2",
+                "a=3 b=3", "a=3 b=4", "a=4 b=3", "a=4 b=4"),
+        "2,1,1": ("a=1 b=1", "a=1 b=2", "a=2 b=1", "a=2 b=2", "a=3 b=2", "a=3 b=3", "a=4 b=3",
+                  "a=4 b=4"),
+        "1,1,1,1": ("a=1 b=1", "a=1 b=2", "a=2 b=1", "a=2 b=2", "a=3 b=2", "a=3 b=3",
+                    "a=4 b=3", "a=4 b=4"),
+    },
+    "heisenberg": {
+        "-": ("k=-1 l=1", "k=1 l=-1"),
+        "1": ("k=-1 l=1", "k=1 l=-1"),
+        "2": ("k=-1 l=1", "k=1 l=-1"),
+        "1,1": ("k=-1 l=1", "k=1 l=-1"),
+        "3": ("k=-1 l=1", "k=1 l=-1"),
+        "2,1": ("k=-1 l=1", "k=1 l=-1"),
+        "1,1,1": ("k=-1 l=1", "k=1 l=-1"),
+        "4": ("k=-1 l=1", "k=1 l=-1"),
+        "3,1": ("k=-1 l=1", "k=1 l=-1"),
+        "2,2": ("k=-1 l=1", "k=1 l=-1"),
+        "2,1,1": ("k=-1 l=1", "k=1 l=-1"),
+        "1,1,1,1": ("k=-1 l=1", "k=1 l=-1"),
+    },
+    "haction": {
+        "-": ("rule=closed form i=1 j=1", "rule=closed form i=1 j=2"),
+        "2": ("rule=closed form i=1 j=1", "rule=closed form i=1 j=2"),
+        "1,1": ("rule=closed form i=1 j=1", "rule=closed form i=1 j=2"),
+        "1,1,1": ("rule=closed form i=1 j=1", "rule=closed form i=1 j=2"),
+        "3,1": ("rule=closed form i=1 j=1", "rule=closed form i=1 j=2"),
+        "2,2": ("rule=closed form i=1 j=1", "rule=closed form i=1 j=2"),
+        "1,1,1,1": ("rule=closed form i=1 j=1", "rule=closed form i=1 j=2"),
+    },
+    "hcommute": {
+        "-": ("a=1 b=2", "a=1 b=3", "a=1 b=4"),
+        "1": ("a=1 b=2", "a=1 b=3", "a=1 b=4"),
+        "2": ("a=1 b=2", "a=1 b=3", "a=1 b=4"),
+        "1,1": ("a=1 b=2", "a=1 b=3", "a=1 b=4"),
+        "3": ("a=1 b=2", "a=1 b=3", "a=1 b=4"),
+        "2,1": ("a=1 b=2", "a=1 b=3", "a=1 b=4"),
+        "1,1,1": ("a=1 b=2", "a=1 b=3", "a=1 b=4"),
+        "4": ("a=1 b=2", "a=1 b=3", "a=1 b=4"),
+        "3,1": ("a=1 b=2", "a=1 b=3", "a=1 b=4"),
+        "2,2": ("a=1 b=2", "a=1 b=3", "a=1 b=4"),
+        "2,1,1": ("a=1 b=2", "a=1 b=3", "a=1 b=4"),
+        "1,1,1,1": ("a=1 b=2", "a=1 b=3", "a=1 b=4"),
+    },
+}
+
+
 def test_every_checker_has_a_fault():
-    assert list(FAULTS) == list(CHECKERS)
+    assert list(FAULTS) == list(CHECKERS) == list(FAULT_WITNESSES)
 
 
 @pytest.mark.parametrize("name", list(FAULTS))
@@ -193,6 +314,10 @@ def test_a_failing_case_records_its_witness(monkeypatch, name):
     assert (rep.cases, len(rep.failures), rep.ok) == (cases, count, False)
     assert list(rep.failures[0].items()) == list(first.items())
     assert rep.to_json()["failures"][0] == first
+    witnesses = [" ".join(f"{key}={value}" for key, value in failure.items()
+                          if key not in ("lhs", "rhs")) for failure in rep.failures]
+    assert witnesses == [f"{witness} shape={shape}"
+                         for shape, group in FAULT_WITNESSES[name].items() for witness in group]
 
 
 @pytest.mark.parametrize("call", [
