@@ -3,8 +3,9 @@
 Exit codes: 0 on success (including verifications with zero failures),
 1 when a verification or cross-check fails or checks no case, 2 on usage
 errors such as malformed partitions, indivisible sizes, or an unsupported
-shape family.  A handler reports a usage error by raising ValueError, and
-main prints every one the same way: one "error: ..." line on stderr.
+shape family, and when a computation runs out of memory.  A handler
+reports a usage error by raising ValueError; main prints each one, and a
+MemoryError, the same way: one "error: ..." line on stderr.
 All output is deterministic for a fixed flag set.
 """
 
@@ -127,9 +128,9 @@ def _cmd_ribbonfn(args):
     if args.basis == "schur":
         _print_table(qlr_via_expansion(args.outer, args.inner, args.n), args.format)
         return 0
-    f = ribbon_function(args.outer, args.inner, args.n)
     if args.format == "latex":
         raise ValueError("latex output is only wired for the schur basis")
+    f = ribbon_function(args.outer, args.inner, args.n)
     terms = sorted(f.items(), key=lambda t: (sum(t[0]), t[0]))
     if args.format == "json":
         _emit({"n": args.n, "outer": list(args.outer), "inner": list(args.inner),
@@ -403,6 +404,9 @@ def main(argv=None):
         return args.func(args)
     except ValueError as e:  # positive.UnsupportedShapeError included
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller size or cutoff", file=sys.stderr)
         return 2
 
 

@@ -88,9 +88,6 @@ class FockVec:
     def __bool__(self):
         return bool(self.terms)
 
-    def __len__(self):
-        return len(self.terms)
-
     def to_pairs(self):
         return [[list(la), self.terms[la].to_pairs()] for la in self.support()]
 

@@ -6,7 +6,10 @@ the edge (Maya) sequence S(la) = {la_k - k : k >= 1}, a co-finite downward
 set of integers: a ribbon with head on diagonal i is addable iff i-n lies in
 S and i does not, the move swaps those two members, and the spin (rows of
 the ribbon minus one) counts the members of S strictly between i-n and i.
-Strips read all moves of a shape off one table, ribbon_moves.
+Strips read all moves of a shape off one table, ribbon_moves.  Every move
+passes through _slots or _single, which reject n < 1 with require_ribbons,
+the one statement of that rule; entry points that divide by n call it
+first.
 """
 
 from __future__ import annotations
@@ -21,6 +24,12 @@ class RibbonSlot(NamedTuple):
     diagonal: int
     kind: str  # "add" or "remove"
     spin: int
+
+
+def require_ribbons(n):
+    """The one check that n-ribbons exist: n must be >= 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
 
 
 def is_partition(la):
@@ -56,11 +65,6 @@ def conjugate(la):
 def contains(la, mu):
     """Cellwise containment mu subseteq la."""
     return len(mu) <= len(la) and all(map(le, mu, la))
-
-
-def cells(la):
-    """1-based (row, col) cells."""
-    return [(r, c) for r, p in enumerate(la, start=1) for c in range(1, p + 1)]
 
 
 def added_cells(mu, la):
@@ -130,6 +134,7 @@ def _slot(members, j, p, n, remove):
 def _slots(la, n, remove):
     """_slot of each move of la, heads ascending, in one pass over
     _beta(la, len(la) + n): p only moves up."""
+    require_ribbons(n)
     members, p, reach = _beta(la, len(la) + n), 0, 1 - n if remove else n
     for j, b in enumerate(members):
         while p < len(members) and members[p] < b + reach:
@@ -151,6 +156,7 @@ def _moved(la, n, slot, remove):
 
 
 def _single(la, i, n, remove):
+    require_ribbons(n)
     members, b = _beta(la, len(la) + n), i if remove else i - n
     j = bisect_left(members, b)
     if members[j : j + 1] == [b]:
@@ -218,19 +224,17 @@ def ribbon_strips(la, n, k, sign=1, remove=False, after=None):
     return level
 
 
-def hook_strips(la, n, a, b, remove=False):
-    """(mu, spin, heads) over the hook-formula words of (a, 1^b) on la, a >= 1.
+def hook_strips(la, n, a, b):
+    """(mu, spin, heads) over the hook-formula words of (a, 1^b) added to la, a >= 1.
 
     The leg goes on first, b + 1 ribbons with descending heads, then the arm,
-    a - 1 ribbons with ascending heads after the last leg head.  With
-    remove=True the same words run backwards on la: the arm comes off first,
-    a ribbons with descending heads, then the leg, b ribbons with heads
-    ascending after the last arm head.  heads lists the ribbons in the order
-    they move and spin is their total.
+    a - 1 ribbons with ascending heads after the last leg head.  heads lists
+    the ribbons in the order they go on and spin is their total.  The
+    transpose, which takes the words off again, is operators._B_moves' own
+    descending walk.
     """
-    down, up = (a, b) if remove else (b + 1, a - 1)
-    for low, low_spin, first in ribbon_strips(la, n, down, -1, remove):
-        for mu, spin, then in ribbon_strips(low, n, up, 1, remove, after=first[-1]):
+    for low, low_spin, first in ribbon_strips(la, n, b + 1, -1):
+        for mu, spin, then in ribbon_strips(low, n, a - 1, 1, after=first[-1]):
             yield mu, low_spin + spin, first + then
 
 
@@ -280,8 +284,7 @@ def core_and_quotient(la, n):
     ((), ..., ()) and adding a box with head diagonal k to quotient[j]
     matches adding an n-ribbon with head diagonal n*k + offsets[j] to la.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    require_ribbons(n)
     m = max(len(la) + (-len(la)) % n, n)
     runners, charges = _runner_charges(la, n, m)
     quot = tuple(_from_beta([c - o for c in runner]) for runner, o in zip(runners, charges))

@@ -6,6 +6,9 @@ fillings of nu whose rows strictly increase and whose reading word (top row
 right to left, then the next rows) obeys the n-commuting constraints.  The
 conjugate families (b+1, 1^(a-1)) and (2, 2, 1^(s-2)) come for free by
 reversing the order on letter values, which swaps the roles of h and e.
+Outside these families the filling rule does not give s_nu(u), so no
+filling test for a general shape is offered: the words are generated per
+family (hook_monomials, and s2_monomials with the block rule _s2_ok).
 One lookup (_family) names the formula for nu and its letter order, for
 the words acting on a partition (formula_words) and for the words over a
 window of diagonals (monomials_in_window) alike.  The conjugate of a hook
@@ -27,38 +30,6 @@ from .tableaux import RibbonTableau
 
 class UnsupportedShapeError(ValueError):
     """nu lies outside the implemented families {hooks, (s,2)} and their conjugates."""
-
-
-def reading_word(rows):
-    """Top row right to left, then downwards."""
-    word = []
-    for row in rows:
-        word.extend(reversed(row))
-    return tuple(word)
-
-
-def is_n_commuting(rows, n):
-    """Filling test for a straight shape, one row tuple per row.
-
-    Rows must strictly increase.  Columns past the first weakly increase
-    downward; the first column only does where the lower row has a single
-    cell.  Where the lower row has two or more cells, the two-by-two block
-    in the first two columns obeys the (s, 2) rule of _s2_ok.
-    """
-    shape = tuple(len(r) for r in rows)
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-        raise ValueError("rows must form a partition shape")
-    for row in rows:
-        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-            return False
-    for up, down in zip(rows, rows[1:]):
-        if len(down) == 1 and up[0] > down[0]:
-            return False
-        if len(down) >= 2 and not _s2_ok(up[0], up[1], down[0], down[1], n):
-            return False
-        if any(up[y] > down[y] for y in range(2, len(down))):
-            return False
-    return True
 
 
 def hook_monomials(a, b, window):

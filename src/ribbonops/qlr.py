@@ -37,6 +37,7 @@ from .partitions import (
     is_partition,
     partitions_of,
     partitions_up_to,
+    require_ribbons,
     subpartitions,
 )
 from .qpoly import QPoly, poly_sum, power, signed_sum, terms
@@ -46,6 +47,7 @@ from .tableaux import ribbon_function
 
 def qlr_via_operators(nu, outer, inner, n):
     """<s_nu(u) . inner, outer>: the nu entry of the operator-route table."""
+    require_ribbons(n)
     nu = tuple(nu)
     if not is_partition(nu):
         raise ValueError(f"nu {nu} is not a partition")
@@ -169,6 +171,7 @@ def qlr_table_via_operators(outer, inner, n):
     expansion route it raises ValueError when n does not divide the skew
     size or inner is not contained in outer.
     """
+    require_ribbons(n)
     size = sum(outer) - sum(inner)
     if size % n:
         raise ValueError(f"skew size {size} is not a multiple of {n}")
@@ -225,6 +228,8 @@ def nonnegativity_scan(max_size, ns=(2, 3)):
     Shapes run over all pairs inner <= outer cellwise with n dividing the
     skew size; a violation is any c^nu with a negative coefficient.
     """
+    for n in ns:
+        require_ribbons(n)
     report = ScanReport(max_size, tuple(ns))
     for outer in partitions_up_to(max_size):
         for inner in subpartitions(outer):

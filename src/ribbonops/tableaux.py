@@ -25,7 +25,14 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import added_cells, contains, horizontal_strips, partitions_of, ribbon_strips
+from .partitions import (
+    added_cells,
+    contains,
+    horizontal_strips,
+    partitions_of,
+    require_ribbons,
+    ribbon_strips,
+)
 from .qpoly import QPoly, frozen, terms
 
 
@@ -84,6 +91,7 @@ class RibbonTableau:
 
 def enumerate_tableaux(outer, inner, n, weight):
     """All ribbon tableaux of shape outer/inner with the given weight composition."""
+    require_ribbons(n)
     if any(w < 0 for w in weight):
         raise ValueError("weight entries must be >= 0")
     if not contains(outer, inner):
@@ -146,13 +154,9 @@ def _chains_below(la, n, weight):
     return {inner: frozen(acc) for inner, acc in out.items()}
 
 
-def weight_poly(outer, inner, n, weight):
-    """Sum of q^spin over ribbon tableaux of shape outer/inner and given weight."""
-    return QPoly(dict(terms(_chains_below(outer, n, tuple(weight)).get(inner, ()))))
-
-
 def ribbon_function(outer, inner, n):
     """Spin generating function of outer/inner as {partition: QPoly} monomial coefficients."""
+    require_ribbons(n)
     size = sum(outer) - sum(inner)
     if size % n:
         raise ValueError(f"skew size {size} is not a multiple of {n}")

@@ -42,6 +42,7 @@ from .partitions import (
     diagonal_window,
     format_partition,
     partitions_up_to,
+    require_ribbons,
     ribbon_slots,
 )
 from .qpoly import QPoly, qbracket
@@ -88,18 +89,13 @@ class VerificationReport:
                 f"{self.cases} cases, {word} ({self.elapsed:.2f}s)")
 
 
-def _require_ribbons(n):
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-
-
 def _sweep(identity, n, params, max_size, shapes, cases):
     """Tally every case of one identity over shapes, or all partitions up to max_size.
 
     cases(la, v) yields (lhs, rhs, witness) for the basis vector v = la; a
     failing case records its witness with the shape, lhs and rhs appended.
     """
-    _require_ribbons(n)
+    require_ribbons(n)
     t0 = time.perf_counter()
     rep = VerificationReport(identity, n, params)
     for la in (partitions_up_to(max_size) if shapes is None else shapes):
@@ -412,7 +408,7 @@ def algebra_dimension(n, k, max_size=None, residues=None, seed=0):
     rank, else RuntimeError.  The report's certificate is the one of its
     rank, the rank at the largest cutoff.
     """
-    _require_ribbons(n)
+    require_ribbons(n)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if max_size is not None and max_size < n:

@@ -6,11 +6,13 @@ agreement test actually compares two different computations.  The rest are
 the library's earlier algorithms, kept as oracles for their replacements:
 the Jacobi-Trudi determinant by permutations, the power sums and the
 Heisenberg generators by Newton's identity, the Heisenberg moves tallied
-one hook at a time, the rank over Q(q) by Bareiss
-elimination, the ribbon tableau weight polynomials by a forward strip
-search and the strip heads of a tableau by a removal strip search; and
-helpers only tests read: Fock and monomial coefficients (the latter through
-filling counts) and the positive formula's polynomial.
+one hook at a time (B_k for k > 0 as the transpose of B_{-k}), the rank
+over Q(q) by Bareiss elimination, the ribbon tableau weight polynomials by
+a forward strip search and the strip heads of a tableau by a removal strip
+search; and helpers only tests read: the cells of a shape, Fock and
+monomial coefficients (the latter through filling counts), the positive
+formula's polynomial, the weight polynomial read off the library's chain
+table, and the n-commuting filling test with its reading word.
 """
 
 from collections import deque
@@ -20,15 +22,20 @@ from itertools import permutations
 from ribbonops.fock import FockVec
 from ribbonops.operators import apply_expansion, apply_h_perp
 from ribbonops.partitions import (
-    cells,
     contains,
     hook_strips,
     horizontal_strips,
     partitions_of,
     ribbon_strips,
 )
-from ribbonops.positive import formula_words
-from ribbonops.qpoly import QPoly
+from ribbonops.positive import _s2_ok, formula_words
+from ribbonops.qpoly import QPoly, terms
+from ribbonops.tableaux import _chains_below
+
+
+def cells(la):
+    """1-based (row, col) cells."""
+    return [(r, c) for r, p in enumerate(la, start=1) for c in range(1, p + 1)]
 
 
 def is_ribbon(cellset):
@@ -296,19 +303,34 @@ def apply_B_by_newton(k, n, v):
     return apply_expansion_perp(power_in_h(k), n, v)
 
 
-def B_moves_by_hooks(la, n, k):
-    """{(mu, spin): c}, c != 0, of B_k on la, tallied one hook at a time.
+@cache
+def _hook_tally(la, n, m):
+    """{(mu, spin): c}, c != 0, of B_{-m} on la, tallied one hook at a time.
 
     p_m = sum_{b<m} (-1)^b s_{(m-b, 1^b)}, and each hook term adds the words
-    of its positive formula, partitions.hook_strips, to la for k = -m and
-    removes them for k = m; every hook walks its own descending run.
+    of its positive formula, partitions.hook_strips, to la; every hook walks
+    its own descending run.
     """
-    m = abs(k)
     tally = {}
     for b in range(m):
-        for mu, spin, _ in hook_strips(la, n, m - b, b, remove=k > 0):
+        for mu, spin, _ in hook_strips(la, n, m - b, b):
             tally[mu, spin] = tally.get((mu, spin), 0) + (-1) ** b
     return {key: c for key, c in tally.items() if c}
+
+
+def B_moves_by_hooks(la, n, k):
+    """{(mu, spin): c}, c != 0, of B_k on la, from hook-by-hook additions.
+
+    B_{-m} is _hook_tally itself.  B_m = p_m(u)^perp is its transpose for
+    the orthonormal pairing: la -> q^spin mu with coefficient c whenever
+    B_{-m} takes mu to q^spin la with c, over every mu of size |la| - n m.
+    No ribbon is ever removed.
+    """
+    if k < 0:
+        return _hook_tally(la, n, -k)
+    size = sum(la) - n * k
+    return {(mu, spin): c for mu in (partitions_of(size) if size >= 0 else ())
+            for (nu, spin), c in _hook_tally(mu, n, k).items() if nu == la}
 
 
 def divexact(a, b):
@@ -370,6 +392,12 @@ def rank_by_bareiss(rows, ncols):
     return rank
 
 
+def weight_poly(outer, inner, n, weight):
+    """Sum of q^spin over ribbon tableaux of shape outer/inner and given
+    weight, read off the library's chain table tableaux._chains_below."""
+    return QPoly(dict(terms(_chains_below(outer, n, tuple(weight)).get(inner, ()))))
+
+
 @cache
 def weight_poly_forward(outer, inner, n, weight):
     """Sum of q^spin over ribbon tableaux of outer/inner and the given weight.
@@ -416,6 +444,43 @@ def strip_heads(mu, la, n):
         if nu == mu:
             return heads[::-1]
     return None
+
+
+def reading_word(rows):
+    """Top row right to left, then downwards."""
+    word = []
+    for row in rows:
+        word.extend(reversed(row))
+    return tuple(word)
+
+
+def is_n_commuting(rows, n):
+    """Filling test for a straight shape, one row tuple per row.
+
+    Rows must strictly increase.  Columns past the first weakly increase
+    downward; the first column only does where the lower row has a single
+    cell.  Where the lower row has two or more cells, the two-by-two block
+    in the first two columns obeys the (s, 2) rule of positive._s2_ok.
+
+    The rule holds only for hooks, (s, 2) shapes and their conjugates:
+    there the reading words of these fillings sum to s_nu(u).  For other
+    shapes they need not: for (3, 3) at n = 3 their sum differs from
+    apply_schur on 15 of the 19 partitions of size <= 5.
+    """
+    shape = tuple(len(r) for r in rows)
+    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
+        raise ValueError("rows must form a partition shape")
+    for row in rows:
+        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            return False
+    for up, down in zip(rows, rows[1:]):
+        if len(down) == 1 and up[0] > down[0]:
+            return False
+        if len(down) >= 2 and not _s2_ok(up[0], up[1], down[0], down[1], n):
+            return False
+        if any(up[y] > down[y] for y in range(2, len(down))):
+            return False
+    return True
 
 
 def formula_polynomial(nu, outer, inner, n):

@@ -24,7 +24,7 @@ from ribbonops.partitions import (
     ribbon_slots,
     subpartitions,
 )
-from ribbonops.positive import apply_formula, is_n_commuting, reading_word
+from ribbonops.positive import apply_formula
 from ribbonops.qlr import (
     nonnegativity_scan,
     qlr_table_via_operators,
@@ -39,7 +39,7 @@ from ribbonops.verify import (
     check_heisenberg,
     check_relations,
 )
-from oracles import schur_monomial_counts
+from oracles import is_n_commuting, reading_word, schur_monomial_counts
 
 
 from conftest import acceptance_lines

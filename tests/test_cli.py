@@ -199,10 +199,15 @@ def test_ribbonfn_monomial_json(capsys):
     }, indent=2) + "\n"
 
 
-def test_ribbonfn_monomial_latex_refused(capsys):
-    code, _, err = run(capsys, "ribbonfn", "--n", "3", "--outer", "3,2,1",
-                       "--basis", "monomial", "--format", "latex")
-    assert code == 2 and "latex" in err
+def test_ribbonfn_monomial_latex_refused(capsys, monkeypatch):
+    def ribbon_function(*args):
+        raise AssertionError("the refusal comes before any computation")
+
+    monkeypatch.setattr(cli, "ribbon_function", ribbon_function)
+    code, out, err = run(capsys, "ribbonfn", "--n", "3", "--outer", "3,2,1",
+                         "--basis", "monomial", "--format", "latex")
+    assert (code, out) == (2, "")
+    assert err == "error: latex output is only wired for the schur basis\n"
 
 
 def test_tableaux_text_output(capsys):
@@ -477,6 +482,17 @@ def test_dim_rejects_an_automatic_cutoff_past_the_cap(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: automatic cutoffs for k=7 start at 49")
     assert err.endswith("pass --max-size to choose one\n") and err.count("\n") == 1
+
+
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    # automatic cutoffs such as dim --n 2 --k 6 can outgrow the memory at hand
+    def word_matrices(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(verify, "_word_matrices", word_matrices)
+    code, out, err = run(capsys, "dim", "--n", "2", "--k", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("argv, message", [

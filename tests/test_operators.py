@@ -269,6 +269,19 @@ def test_sskew_with_empty_inner_is_schur(n):
             assert skew == apply_skew_schur(nu, (), n, basis(la))
 
 
+def test_a_negative_strip_count_gives_zero():
+    v = basis((2, 1))
+    assert apply_h(-1, 2, v) == apply_h_perp(-1, 2, v) == FockVec.zero()
+
+
+def test_apply_expr_stops_at_the_zero_vector(monkeypatch):
+    def h(*args):
+        raise AssertionError("no atom runs on the zero vector")
+
+    monkeypatch.setitem(operators._ATOMS, "h", h)
+    assert apply_expr(parse_expr("h[1] u[7]"), 2, basis(())) == FockVec.zero()
+
+
 def test_apply_expr_matches_direct_composition():
     v = basis(())
     out = apply_expr(parse_expr("d[2] u[2]"), 3, v)

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import horizontal_strips_by_tiling, ribbon_additions
+from ribbonops.fock import FockVec
+from ribbonops.operators import apply_B, apply_diag, apply_h
 from ribbonops.partitions import (
     add_ribbon,
+    added_cells,
     conjugate,
     contains,
     core_and_quotient,
     diagonal_window,
     format_partition,
     from_core_and_quotient,
-    hook_strips,
     horizontal_strips,
     is_core,
     parse_partition,
@@ -25,6 +27,9 @@ from ribbonops.partitions import (
     ribbon_slots,
     ribbon_strips,
 )
+from ribbonops.qlr import nonnegativity_scan, qlr_table_via_operators, qlr_via_operators
+from ribbonops.tableaux import enumerate_tableaux, ribbon_function
+from ribbonops.verify import algebra_dimension, check_relations
 
 
 @st.composite
@@ -126,21 +131,6 @@ def test_removing_a_strip_transposes_adding_it():
                 assert added == removed, (n, k, m)
 
 
-def test_removing_a_hook_word_transposes_adding_it():
-    words = 0
-    for n in (1, 2, 3):
-        for a in range(1, 5):
-            for b in range(5 - a):
-                for m in range(8):
-                    added = Counter((la, mu, spin) for la in partitions_of(m)
-                                    for mu, spin, _ in hook_strips(la, n, a, b))
-                    removed = Counter((la, mu, spin) for mu in partitions_of(m + n * (a + b))
-                                      for la, spin, _ in hook_strips(mu, n, a, b, remove=True))
-                    assert added == removed, (n, a, b, m)
-                    words += sum(added.values())
-    assert words == 20505
-
-
 @pytest.mark.parametrize("remove", [False, True])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_a_strip_after_a_head_is_the_filtered_strip(remove, sign):
@@ -157,6 +147,39 @@ def test_a_strip_after_a_head_is_the_filtered_strip(remove, sign):
 def test_a_strip_needs_a_nonnegative_count(remove):
     with pytest.raises(ValueError, match="k >= 0"):
         horizontal_strips((2, 1), 2, -1, remove)
+
+
+# one call per entry point that must reject n < 1 with partitions.require_ribbons:
+# the kernel (_slots, _single) through each kind of move, and each function
+# that divides by n
+ENTRY_POINTS = {
+    "ribbon_moves": lambda n: ribbon_moves((2, 1), n),
+    "ribbon_moves remove": lambda n: ribbon_moves((2, 1), n, True),
+    "ribbon_slots": lambda n: ribbon_slots((2, 1), n),
+    "is_core": lambda n: is_core((2, 1), n),
+    "add_ribbon": lambda n: add_ribbon((2, 1), 1, n),
+    "remove_ribbon": lambda n: remove_ribbon((2, 1), 0, n),
+    "horizontal_strips": lambda n: horizontal_strips((2, 1), n, 1),
+    "apply_h": lambda n: apply_h(1, n, FockVec.basis((1,))),
+    "apply_B": lambda n: apply_B(2, n, FockVec.basis((2, 2))),
+    "apply_diag": lambda n: apply_diag(0, 1, n, FockVec.basis(())),
+    "core_and_quotient": lambda n: core_and_quotient((2, 1), n),
+    "check_relations": lambda n: check_relations(n, 2),
+    "algebra_dimension": lambda n: algebra_dimension(n, 1, max_size=2),
+    "ribbon_function": lambda n: ribbon_function((2, 2), (), n),
+    "qlr_table_via_operators": lambda n: qlr_table_via_operators((2, 2), (), n),
+    "qlr_via_operators": lambda n: qlr_via_operators((1,), (2, 2), (), n),
+    "enumerate_tableaux": lambda n: enumerate_tableaux((2, 2), (), n, (2,)),
+    "nonnegativity_scan": lambda n: nonnegativity_scan(2, (2, n)),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_entry_point_needs_a_ribbon_of_one_cell(name, n):
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        ENTRY_POINTS[name](n)
+
 
 def test_add_then_remove_is_identity():
     for n in (2, 3):
@@ -305,6 +328,12 @@ def test_no_moves_outside_the_window(la, n):
     for i in list(range(lo - 2 * n, lo)) + list(range(hi + 1, hi + 2 * n + 1)):
         assert add_ribbon(la, i, n) is None
         assert remove_ribbon(la, i, n) is None
+
+
+def test_added_cells_need_the_inner_shape_inside():
+    assert added_cells((1,), (2, 1)) == [(1, 2), (2, 1)]
+    with pytest.raises(ValueError, match="^inner partition not contained in outer$"):
+        added_cells((3,), (2, 1))
 
 
 def test_contains_is_cellwise():

@@ -11,15 +11,13 @@ from ribbonops.positive import (
     apply_formula,
     formula_words,
     hook_monomials,
-    is_n_commuting,
     monomials_in_window,
-    reading_word,
     s2_monomials,
     yamanouchi_tableaux,
 )
 from ribbonops.qlr import qlr_via_operators
 from ribbonops.qpoly import QPoly
-from oracles import formula_polynomial
+from oracles import formula_polynomial, is_n_commuting, reading_word
 
 SUPPORTED = [
     (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1),
@@ -138,6 +136,32 @@ def test_hook_monomials_match_commuting_fillings_on_distinct_letters():
                     wanted.add(reading_word(rows))
         got = {w for w in hook_monomials(a, b, window) if len(set(w)) == len(w)}
         assert got == wanted, (a, b)
+
+
+def _filling_image(nu, n, la):
+    """Sum of u_w . la over the reading words w of the n-commuting fillings of nu."""
+    total = FockVec.zero()
+
+    def rec(r, cur, rows):
+        nonlocal total
+        if r < 0:
+            if is_n_commuting(rows, n):
+                total = total + apply_word(reading_word(rows), n, FockVec.basis(la))
+            return
+        # the last row acts first; each row's letters act in ascending order
+        for mu, _, heads in ribbon_strips(cur, n, nu[r], 1):
+            rec(r - 1, mu, (heads,) + rows)
+
+    rec(len(nu) - 1, la, ())
+    return total
+
+
+def test_the_filling_rule_holds_only_in_its_families():
+    shapes = list(partitions_up_to(5))
+    differ = {nu: sum(_filling_image(nu, 3, la) != apply_schur(nu, 3, FockVec.basis(la))
+                      for la in shapes)
+              for nu in ((3, 2), (2, 1, 1), (3, 3))}
+    assert len(shapes) == 19 and differ == {(3, 2): 0, (2, 1, 1): 0, (3, 3): 15}
 
 
 def test_monomial_argument_validation():

@@ -15,7 +15,6 @@ from ribbonops.symfunc import (
     skew_schur_in_h,
     to_schur_basis,
 )
-from ribbonops.tableaux import weight_poly
 from oracles import (
     _hadd,
     _hmul,
@@ -24,6 +23,7 @@ from oracles import (
     kostka_count,
     power_in_h,
     to_monomial_basis,
+    weight_poly,
 )
 
 

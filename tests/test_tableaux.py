@@ -14,9 +14,8 @@ from ribbonops.tableaux import (
     enumerate_tableaux,
     horizontal_strips,
     ribbon_function,
-    weight_poly,
 )
-from oracles import schur_monomial_counts, strip_heads, weight_poly_forward
+from oracles import schur_monomial_counts, strip_heads, weight_poly, weight_poly_forward
 
 
 def compositions(m):
@@ -212,6 +211,21 @@ def test_negative_weight_is_rejected_before_the_size_check(weight):
     # (-1, 2) fills the shape's two cells, (-1, 3) would not: both raise
     with pytest.raises(ValueError):
         enumerate_tableaux((2,), (), 2, weight)
+
+
+def test_enumeration_rejects_an_inner_shape_outside_the_outer_one():
+    with pytest.raises(ValueError, match="^inner partition not contained in outer$"):
+        enumerate_tableaux((2, 2), (3,), 1, (1,))
+
+
+def test_a_weight_of_the_wrong_size_has_no_tableaux():
+    assert [t.chain for t in enumerate_tableaux((4,), (), 2, (2,))] == [((), (4,))]
+    assert enumerate_tableaux((4,), (), 2, (1,)) == []
+
+
+def test_ribbon_function_rejects_an_indivisible_size():
+    with pytest.raises(ValueError, match="^skew size 3 is not a multiple of 2$"):
+        ribbon_function((2, 1), (), 2)
 
 
 def test_ribbon_function_degree_and_conservation():

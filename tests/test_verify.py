@@ -1,8 +1,9 @@
 import pytest
 
 from ribbonops import verify
-from ribbonops.operators import apply_h_perp
-from ribbonops.partitions import partitions_up_to
+from ribbonops.fock import FockVec
+from ribbonops.operators import apply_B, apply_h_perp
+from ribbonops.partitions import format_partition, partitions_up_to
 from ribbonops.qpoly import QPoly
 from ribbonops.verify import (
     CHECKERS,
@@ -99,6 +100,19 @@ HEISENBERG_RULE_COUNTS = {
 }
 
 
+# nonzero images of the generators on each shape of size <= 4, as
+# (#{l: B_l v != 0}, #{(k, l): B_k B_l v != 0}) over 0 < |k|, |l| <= 3: what
+# B does, however often the checker evaluates it
+HEISENBERG_IMAGE_COUNTS = {
+    2: {"-": (3, 12), "1": (3, 12), "2": (4, 17), "1,1": (4, 17), "3": (4, 17),
+        "2,1": (3, 12), "1,1,1": (4, 17), "4": (5, 23), "3,1": (5, 23), "2,2": (5, 23),
+        "2,1,1": (5, 23), "1,1,1,1": (5, 23)},
+    3: {"-": (3, 12), "1": (3, 12), "2": (3, 12), "1,1": (3, 12), "3": (4, 17),
+        "2,1": (4, 17), "1,1,1": (4, 17), "4": (4, 17), "3,1": (3, 12), "2,2": (4, 17),
+        "2,1,1": (3, 12), "1,1,1,1": (4, 17)},
+}
+
+
 @pytest.mark.parametrize("n", sorted(HACTION_RULE_COUNTS))
 def test_haction_runs_every_rule(monkeypatch, n):
     counts = _count_rules(monkeypatch)
@@ -124,6 +138,17 @@ def test_heisenberg_runs_every_rule(monkeypatch, n):
     rep = run_identity("heisenberg", n, 4)
     assert rep.ok and rep.cases == counts["[B_k, B_-k] = scalar"] + counts["[B_k, B_l] = 0"]
     assert counts == HEISENBERG_RULE_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(HEISENBERG_IMAGE_COUNTS))
+def test_heisenberg_images_per_shape(n):
+    ks = [k for k in range(-3, 4) if k]
+    counts = {}
+    for la in partitions_up_to(4):
+        once = {l: apply_B(l, n, FockVec.basis(la)) for l in ks}
+        twice = [apply_B(k, n, once[l]) for k in ks for l in ks]
+        counts[format_partition(la)] = (sum(map(bool, once.values())), sum(map(bool, twice)))
+    assert counts == HEISENBERG_IMAGE_COUNTS[n]
 
 
 # cases per (a, b) of check_cauchy(n, 4, 4, 4) and check_h_commute(n, 4, 4),
