@@ -8,13 +8,15 @@ A FockVec holds {partition: QPoly} with no zero coefficient.  __init__
 filters zeros, and FockVec._raw wraps a dict that has none, as QPoly._raw
 does for polynomials; nothing else sets the terms.  signed_map is the one
 loop that extends a basis action linearly; an unsigned action hands it a
-single (1, pairs) group.  A vector prints through qpoly.poly_sum, the one
-sign rule for printed sums.
+single (1, flat) group.  A group's moves are one flat tuple (see qpoly),
+the form in which the memoized strip lists and B_k moves are kept, so a
+memo value is handed over as it is.  A vector prints through
+qpoly.poly_sum, the one sign rule for printed sums.
 """
 
 from __future__ import annotations
 
-from .qpoly import QPoly, poly_sum
+from .qpoly import QPoly, poly_sum, terms
 
 
 class FockVec:
@@ -103,9 +105,9 @@ class FockVec:
         return f"FockVec({self.terms!r})"
 
 
-def _scatter(acc, cc, moves):
-    """acc[mu] += q^spin * cc for each (mu, spin) in moves, on raw dicts."""
-    for mu, spin in moves:
+def _scatter(acc, cc, flat):
+    """acc[mu] += q^spin * cc for each mu, spin of the flat moves, on raw dicts."""
+    for mu, spin in terms(flat):
         slot = acc.get(mu)
         if slot is None:
             slot = acc[mu] = {}
@@ -121,15 +123,15 @@ def _scatter(acc, cc, moves):
 def signed_map(v, moves):
     """Extend a signed basis action linearly.
 
-    moves(la) yields (c, pairs) groups, c a nonzero int and pairs a sequence
-    of (mu, spin), meaning la -> c q^spin mu for each pair.  Accumulation
-    runs on raw coefficient dicts to keep the hot path cheap: each group
-    scales the coefficient dict once (not at all for c = 1), and the sums
-    that cancel are dropped at the end.
+    moves(la) yields (c, flat) groups, c a nonzero int and flat the moves
+    (mu0, spin0, mu1, spin1, ...), meaning la -> c q^spin mu for each pair.
+    Accumulation runs on raw coefficient dicts to keep the hot path cheap:
+    each group scales the coefficient dict once (not at all for c = 1), and
+    the sums that cancel are dropped at the end.
     """
     acc = {}
     for la, coeff in v.terms.items():
         cc = coeff.coeffs
-        for c, pairs in moves(la):
-            _scatter(acc, cc if c == 1 else {e: x * c for e, x in cc.items()}, pairs)
+        for c, flat in moves(la):
+            _scatter(acc, cc if c == 1 else {e: x * c for e, x in cc.items()}, flat)
     return FockVec._raw({mu: QPoly._raw(d) for mu, d in acc.items() if d})

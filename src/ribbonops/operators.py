@@ -13,7 +13,12 @@ pass of signed single-ribbon-word moves.  B_{-k} adds each hook word as two
 ribbon strips, a descending run shared by all hooks of its size and an
 ascending one; B_k removes the same strips in reverse.  The strips and the
 diagonal operators, in one signed pass too, read partitions.ribbon_moves,
-the one table of every single-ribbon move of a shape.
+the one table of every single-ribbon move of a shape.  Both tables
+memoized here hold flat tuples in the one format qpoly states: the
+coefficients of _h_vector and the moves of each signed group of _B_moves,
+which is also how every operator hands its moves to fock.signed_map.  One
+object per group, not one per move, and nothing the garbage collector
+walks again once it has seen it, keeps a long sweep's tables small.
 
 Words store letters in product order: apply_word((2, 1, 3, 0), n, v)
 computes u_2 u_1 u_3 u_0 . v, so the rightmost letter acts first.
@@ -31,8 +36,8 @@ from .partitions import (
     horizontal_strips,
     parse_partition,
     remove_ribbon,
+    require_ribbons,
     ribbon_moves,
-    ribbon_strips,
 )
 from .qpoly import frozen, qbracket, terms
 from .symfunc import elementary_in_h, schur_in_h, skew_schur_in_h
@@ -41,7 +46,7 @@ from .symfunc import elementary_in_h, schur_in_h, skew_schur_in_h
 def apply_u(i, n, v):
     def moves(la):
         hit = add_ribbon(la, i, n)
-        return ((1, (hit,)),) if hit else ()
+        return ((1, hit),) if hit else ()
 
     return signed_map(v, moves)
 
@@ -49,7 +54,7 @@ def apply_u(i, n, v):
 def apply_d(i, n, v):
     def moves(la):
         hit = remove_ribbon(la, i, n)
-        return ((1, (hit,)),) if hit else ()
+        return ((1, hit),) if hit else ()
 
     return signed_map(v, moves)
 
@@ -84,9 +89,10 @@ def _h_vector(la, n, alpha):
     is one scatter over the strips of the vector before it.
     """
     if not alpha:
+        require_ribbons(n)  # the one branch that searches no strip
         return {la: (0, 1)}
     if len(alpha) == 1:  # distinct strips end at distinct shapes
-        return {mu: (sp, 1) for mu, sp in horizontal_strips(la, n, alpha[0])}
+        return {mu: (sp, 1) for mu, sp in terms(horizontal_strips(la, n, alpha[0]))}
     acc = {}
     for mu, flat in _h_vector(la, n, alpha[1:]).items():
         _scatter(acc, dict(terms(flat)), horizontal_strips(mu, n, alpha[0]))
@@ -94,12 +100,12 @@ def _h_vector(la, n, alpha):
 
 
 def _grouped(tally):
-    """{(mu, spin): c} as signed_map groups ((c, ((mu, spin), ...)), ...), zeros dropped."""
+    """{(mu, spin): c} as signed_map groups ((c, (mu0, spin0, ...)), ...), zeros dropped."""
     groups = {}
     for key, c in tally.items():
         if c:
-            groups.setdefault(c, []).append(key)
-    return tuple((c, tuple(pairs)) for c, pairs in groups.items())
+            groups.setdefault(c, []).extend(key)
+    return tuple((c, tuple(flat)) for c, flat in groups.items())
 
 
 def apply_expansion(expansion, n, v):
@@ -141,22 +147,25 @@ def apply_skew_schur(outer, inner, n, v):
 
 @cache
 def _B_moves(la, n, k):
-    """Signed moves of B_k on la as ((c, ((mu, spin), ...)), ...), c != 0.
+    """Signed moves of B_k on la as ((c, (mu0, spin0, ...)), ...), c != 0.
 
     p_m = sum_{b<m} (-1)^b s_{(m-b, 1^b)} (Murnaghan-Nakayama).  Each hook
     term contributes the words of its positive formula (hook_strips): added
     to la for k = -m, removed from it, run backwards, for k = m.  A word
     opens with j descending heads, j = b + 1 for k = -m and m - b for k = m,
     and ends with m - j ascending ones, so one descending walk serves all m
-    hooks: levels[j] holds its strips of j ribbons.  The hooks are tallied
-    in the order of b; equal (mu, spin) merge and cancelled ones are dropped.
+    hooks: levels[j] holds its strips of j ribbons with their last heads,
+    and each hook grows its ascending run from them, head by head, in
+    hook_strips' order.  Both runs read the flat move table itself and keep
+    only the last head of a strip.  The hooks are tallied in the order of
+    b; equal (mu, spin) merge and cancelled ones are dropped.
     """
     m, remove = abs(k), k > 0
     levels = [[(la, 0, inf)]]
     for _ in range(m):
         level = []
         for cur, spin, last in levels[-1]:
-            for i, (low, sp) in ribbon_moves(cur, n, remove).items():
+            for i, low, sp in terms(ribbon_moves(cur, n, remove), 3):
                 if i >= last:
                     break  # the heads ascend: none later is below last
                 level.append((low, spin + sp, i))
@@ -165,9 +174,12 @@ def _B_moves(la, n, k):
     for b in range(m):
         j = m - b if remove else b + 1
         sign = -1 if b % 2 else 1
-        for low, low_spin, last in levels[j]:
-            for mu, spin, _ in ribbon_strips(low, n, m - j, 1, remove, after=last):
-                tally[mu, low_spin + spin] = tally.get((mu, low_spin + spin), 0) + sign
+        run = levels[j]
+        for _ in range(m - j):
+            run = [(mu, spin + sp, i) for cur, spin, last in run
+                   for i, mu, sp in terms(ribbon_moves(cur, n, remove), 3) if i > last]
+        for mu, spin, _ in run:
+            tally[mu, spin] = tally.get((mu, spin), 0) + sign
     return _grouped(tally)
 
 
@@ -186,9 +198,9 @@ def _diag_moves(la, n, j, keep):
     """Signed moves of (u_i d_i)^j - (d_i u_i)^j on la, summed over the
     ribbon_moves heads i that pass keep(i): -q^(2 j spin) for an addable
     ribbon, +q^(2 j spin) for a removable one."""
-    return [(sign, ((la, 2 * j * spin),))
+    return [(sign, (la, 2 * j * spin))
             for sign, remove in ((-1, False), (1, True))
-            for i, (_, spin) in ribbon_moves(la, n, remove).items() if keep(i)]
+            for i, _, spin in terms(ribbon_moves(la, n, remove), 3) if keep(i)]
 
 
 def apply_diag(i, j, n, v):

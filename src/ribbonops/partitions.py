@@ -6,10 +6,14 @@ the edge (Maya) sequence S(la) = {la_k - k : k >= 1}, a co-finite downward
 set of integers: a ribbon with head on diagonal i is addable iff i-n lies in
 S and i does not, the move swaps those two members, and the spin (rows of
 the ribbon minus one) counts the members of S strictly between i-n and i.
-Strips read all moves of a shape off one table, ribbon_moves.  Every move
-passes through _slots or _single, which reject n < 1 with require_ribbons,
-the one statement of that rule; entry points that divide by n call it
-first.
+Strips read all moves of a shape off one table, ribbon_moves.  The move
+table and the strip lists of horizontal_strips are memoized as flat tuples
+(qpoly.terms reads them): one allocation per shape, not one per move, and
+nothing the garbage collector keeps walking once it has seen them.  Every
+move passes through _slots or _single, which reject n < 1 with
+require_ribbons, the one statement of that rule; ribbon_strips calls it
+too, since a strip of no ribbons makes no move, and entry points that
+divide by n call it first.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from bisect import bisect_left
 from functools import cache
 from operator import le
 from typing import NamedTuple
+
+from .qpoly import terms
 
 
 class RibbonSlot(NamedTuple):
@@ -187,9 +193,12 @@ def diagonal_window(la, n, k=1):
 
 @cache
 def ribbon_moves(la, n, remove=False):
-    """{head: (mu, spin)} of each n-ribbon added to la (removed with
-    remove=True), heads ascending."""
-    return {slot[0]: _moved(la, n, slot, remove) for slot in _slots(la, n, remove)}
+    """The flat move table (head0, mu0, spin0, head1, ...) of each n-ribbon
+    added to la (removed with remove=True), heads ascending."""
+    out = []
+    for slot in _slots(la, n, remove):
+        out += (slot[0], *_moved(la, n, slot, remove))
+    return tuple(out)
 
 
 def ribbon_slots(la, n):
@@ -207,6 +216,7 @@ def ribbon_strips(la, n, k, sign=1, remove=False, after=None):
     ribbon_moves, without recursion, so k is not bounded by the recursion
     limit.  Not memoized: callers needing no heads use horizontal_strips.
     """
+    require_ribbons(n)
     if k < 0:
         raise ValueError(f"a strip needs k >= 0 ribbons, got {k}")
     level = [(la, 0, ())]
@@ -215,7 +225,7 @@ def ribbon_strips(la, n, k, sign=1, remove=False, after=None):
         grown = []
         for cur, spin, heads in level:
             last = heads[-1] if heads else after
-            for i, (nxt, sp) in ribbon_moves(cur, n, remove).items():
+            for i, nxt, sp in terms(ribbon_moves(cur, n, remove), 3):
                 if last is None or sign * i > sign * last:
                     grown.append((nxt, spin + sp, heads + (i,)))
                 elif sign < 0:
@@ -240,7 +250,8 @@ def hook_strips(la, n, a, b):
 
 @cache
 def horizontal_strips(la, n, k, remove=False):
-    """All (mu, spin) with mu/la a horizontal strip of k n-ribbons.
+    """Flat (mu0, spin0, mu1, spin1, ...) over each mu with mu/la a
+    horizontal strip of k n-ribbons.
 
     The ribbons go in with ascending heads, as h_k adds them; with
     remove=True, la/mu is the strip and they come out with descending heads,
@@ -248,8 +259,11 @@ def horizontal_strips(la, n, k, remove=False):
     (tilings of a horizontal strip are unique), so the pairs need no
     merging.  k must be >= 0.
     """
-    strips = ribbon_strips(la, n, k, -1 if remove else 1, remove)
-    return tuple((mu, spin) for mu, spin, _ in strips)
+    out = []
+    for mu, spin, _ in ribbon_strips(la, n, k, -1 if remove else 1, remove):
+        out.append(mu)
+        out.append(spin)
+    return tuple(out)
 
 
 def _runner_charges(la, n, m):

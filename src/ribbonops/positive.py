@@ -137,7 +137,10 @@ def apply_formula(nu, n, v):
     """Positive-formula action of s_nu(u) on a vector."""
 
     def moves(la):
-        return ((1, tuple((mu, spin) for _, mu, spin in formula_words(nu, la, n))),)
+        flat = []
+        for _, mu, spin in formula_words(nu, la, n):
+            flat += (mu, spin)
+        return ((1, flat),)
 
     return signed_map(v, moves)
 

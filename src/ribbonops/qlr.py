@@ -150,7 +150,8 @@ def _pairings(outer, inner, n, nus):
             k, strips = top, horizontal_strips(outer, n, top, remove=True)
         tail = _h_vector(inner, n, alpha[1:])
         hit = {}
-        for mu, spin in strips:
+        it = iter(strips)  # terms(strips), inlined: most alphas read only a strip or two
+        for mu, spin in zip(it, it):
             flat = tail.get(mu)
             if flat:
                 for e, x in terms(flat):

@@ -11,12 +11,19 @@ an int enters arithmetic.  Printed sums have one rule: power writes q^e,
 signed_sum puts the signs between terms, and poly_sum gives each one-term
 coefficient's sign to that join.
 
-The memo tables that grow through a long sweep (operators._h_vector and
-tableaux._chains_below) do not hold QPoly instances.  They keep each
-polynomial as a flat tuple of ints (e0, c0, e1, c1, ...): immutable, one
-allocation, and untracked by CPython's cyclic garbage collector once a
-collection has seen it, so those tables add nothing to the work of each
-collection.  frozen() writes that form and terms() reads it.
+The memo tables that grow through a long sweep hold flat tuples, one
+format stated here for all of them.  A flat tuple lists its items' fields
+one after another: a polynomial is (e0, c0, e1, c1, ...)
+(operators._h_vector, tableaux._chains_below), a strip list and the moves
+of a fock.signed_map group are (mu0, spin0, mu1, spin1, ...)
+(partitions.horizontal_strips, operators._B_moves), and a move table is
+(head0, mu0, spin0, head1, ...) (partitions.ribbon_moves).  A flat tuple
+is one allocation where a tuple of pairs or a dict is one per item, and it
+holds only ints and partitions (a _B_moves value only (c, flat) groups),
+so CPython's cyclic garbage collector untracks it once a collection has
+seen it: those tables take less memory than they would as pairs and add
+nothing to the work of each collection.  frozen() writes a polynomial in
+that form and terms() reads any of them.
 """
 
 from __future__ import annotations
@@ -191,7 +198,9 @@ def frozen(coeffs):
     return sum(coeffs.items(), ())  # quadratic, but fastest for a few exponents
 
 
-def terms(flat):
-    """The (exponent, coefficient) pairs of a flat int tuple, in its order."""
+def terms(flat, width=2):
+    """The items of a flat tuple, width fields each, in its order: the
+    (exponent, coefficient) or (mu, spin) pairs, or with width=3 the
+    (head, mu, spin) moves of a move table."""
     it = iter(flat)
-    return zip(it, it)
+    return zip(*(it,) * width)

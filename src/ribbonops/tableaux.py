@@ -136,10 +136,10 @@ def _chains_below(la, n, weight):
         return {la: (0, 1)}
     strips = horizontal_strips(la, n, weight[-1], remove=True)
     if len(weight) == 1:  # distinct strips end at distinct shapes
-        return {mu: (sp, 1) for mu, sp in strips}
+        return {mu: (sp, 1) for mu, sp in terms(strips)}
     out = {}
     rest = weight[:-1]
-    for mu, sp in strips:
+    for mu, sp in terms(strips):
         for inner, flat in _chains_below(mu, n, rest).items():
             acc = out.get(inner)
             if acc is None:

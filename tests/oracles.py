@@ -409,7 +409,7 @@ def weight_poly_forward(outer, inner, n, weight):
         return QPoly.one() if outer == inner else QPoly.zero()
     acc = {}
     rest = weight[1:]
-    for la, sp in horizontal_strips(inner, n, weight[0]):
+    for la, sp in terms(horizontal_strips(inner, n, weight[0])):
         if contains(outer, la):
             for e, x in weight_poly_forward(outer, la, n, rest).coeffs.items():
                 acc[e + sp] = acc.get(e + sp, 0) + x

@@ -16,7 +16,7 @@ from ribbonops import cli, verify
 from ribbonops.cli import main
 from ribbonops.partitions import format_partition, horizontal_strips, partitions_up_to
 from ribbonops.qlr import QLRTable
-from ribbonops.qpoly import QPoly
+from ribbonops.qpoly import QPoly, terms
 from oracles import strip_heads
 
 
@@ -285,7 +285,7 @@ def test_strips_window_matches_a_strip_heads_filter(capsys, n, direction):
             for lo, hi in [(-2, 2), (-4, 1), (0, 6), (-6, 6)]:
                 hits = horizontal_strips(inner, n, weight, remove)
                 want = []
-                for la, spin in (sorted(hits) if remove else hits):
+                for la, spin in (sorted(terms(hits)) if remove else terms(hits)):
                     heads = strip_heads(la, inner, n) if remove else strip_heads(inner, la, n)
                     if not heads or (lo <= heads[0] and heads[-1] <= hi):
                         want.append({"shape": list(la), "spin": spin})

@@ -7,10 +7,11 @@ memory, so it should be a visible edit of EXPECTED, not a side effect.
 import gc
 import importlib
 import pkgutil
+from itertools import cycle
 
 import ribbonops
 from ribbonops import operators, partitions, qlr, symfunc, tableaux
-from ribbonops.partitions import partitions_of, partitions_up_to
+from ribbonops.partitions import is_partition, partitions_of, partitions_up_to
 from ribbonops.qlr import qlr_table_via_operators, qlr_via_expansion
 from ribbonops.verify import run_identity
 
@@ -103,6 +104,21 @@ def _tracked(value):
     return isinstance(value, tuple) and any(map(_tracked, value))
 
 
+def _int(x):
+    return type(x) is int
+
+
+def _flat(value, *layout):
+    """Whether value is a flat tuple (see qpoly.terms) whose items pass the
+    tests of layout in turn, one item per test, cycling."""
+    return (type(value) is tuple and len(value) % len(layout) == 0
+            and all(test(x) for test, x in zip(cycle(layout), value)))
+
+
+def _flat_moves(value):
+    return _flat(value, is_partition, _int)
+
+
 def test_the_big_tables_hold_nothing_the_collector_walks():
     # the two tables that grow through a long sweep keep flat int tuples,
     # which a collection untracks, not QPoly, FockVec or nested dicts; the
@@ -137,17 +153,25 @@ def test_the_big_tables_hold_nothing_the_collector_walks():
     assert values > 100
     # a collection untracks a tuple only once all it holds is untracked, and
     # its list may visit an outer tuple before an inner one, so a value that
-    # nests d tuples deep can take d collections; _B_moves nests five deep
+    # nests d tuples deep can take d collections; _B_moves nests four deep
     for _ in range(3):
         gc.collect()
     swept = 0
     for la in partitions_up_to(3):
         # every shape of the sweep took each B_k, h_k and h_k^perp (k <= 3),
-        # read here with the arguments that apply_B, apply_h and apply_h_perp pass
-        for value in ([partitions.ribbon_moves(la, 2, remove) for remove in (False, True)]
-                      + [partitions.horizontal_strips(la, 2, k) for k in (1, 2, 3)]
-                      + [partitions.horizontal_strips(la, 2, k, remove=True) for k in (1, 2, 3)]
-                      + [operators._B_moves(la, 2, k) for k in (-3, -2, -1, 1, 2, 3)]):
+        # read here with the arguments that apply_B, apply_h and apply_h_perp pass;
+        # each value is flat: a move table (head, mu, spin, ...), a strip list
+        # (mu, spin, ...), and a B_k value a tuple of (c, strip list) groups
+        moves = [partitions.ribbon_moves(la, 2, remove) for remove in (False, True)]
+        strips = ([partitions.horizontal_strips(la, 2, k) for k in (1, 2, 3)]
+                  + [partitions.horizontal_strips(la, 2, k, remove=True) for k in (1, 2, 3)])
+        groups = [operators._B_moves(la, 2, k) for k in (-3, -2, -1, 1, 2, 3)]
+        assert all(_flat(value, _int, is_partition, _int) for value in moves), (la, moves)
+        assert all(map(_flat_moves, strips)), (la, strips)
+        for value in groups:
+            assert type(value) is tuple and all(
+                len(group) == 2 and _flat(group, _int, _flat_moves) for group in value), (la, value)
+        for value in moves + strips + groups:
             assert not _tracked(value), (la, value)
             swept += bool(value)
     assert swept == 61  # of the 98 values read, the nonempty ones

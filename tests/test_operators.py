@@ -191,8 +191,8 @@ def test_B_moves_match_the_hook_by_hook_tally():
         for la in partitions_up_to(9):
             for k in (-4, -3, -2, -1, 1, 2, 3, 4):
                 moves = operators._B_moves(la, n, k)
-                got = {pair: c for c, pairs in moves for pair in pairs}
-                assert len(got) == sum(len(pairs) for _, pairs in moves)
+                got = {pair: c for c, flat in moves for pair in terms(flat)}
+                assert len(got) == sum(len(list(terms(flat))) for _, flat in moves)
                 assert got == B_moves_by_hooks(la, n, k), (la, n, k)
                 cases += 1
     assert cases == 3104

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import horizontal_strips_by_tiling, ribbon_additions
 from ribbonops.fock import FockVec
-from ribbonops.operators import apply_B, apply_diag, apply_h
+from ribbonops.operators import apply_B, apply_diag, apply_expr, apply_h, apply_h_perp, parse_expr
 from ribbonops.partitions import (
     add_ribbon,
     added_cells,
@@ -28,6 +28,7 @@ from ribbonops.partitions import (
     ribbon_strips,
 )
 from ribbonops.qlr import nonnegativity_scan, qlr_table_via_operators, qlr_via_operators
+from ribbonops.qpoly import terms
 from ribbonops.tableaux import enumerate_tableaux, ribbon_function
 from ribbonops.verify import algebra_dimension, check_relations
 
@@ -100,9 +101,10 @@ def test_the_move_table_matches_the_cell_level_oracle():
                 if la in removals:
                     removals[la][i] = (mu, spin)
         for la in additions:
-            assert list(ribbon_moves(la, n).items()) == sorted(additions[la].items()), (la, n)
-            assert (list(ribbon_moves(la, n, remove=True).items())
-                    == sorted(removals[la].items())), (la, n)
+            assert (list(terms(ribbon_moves(la, n), 3))
+                    == [(i, *move) for i, move in sorted(additions[la].items())]), (la, n)
+            assert (list(terms(ribbon_moves(la, n, remove=True), 3))
+                    == [(i, *move) for i, move in sorted(removals[la].items())]), (la, n)
             tables += 2
             moves["add"] += len(additions[la])
             moves["remove"] += len(removals[la])
@@ -115,7 +117,7 @@ def test_horizontal_strips_match_the_tiling_oracle():
         for mu in partitions_up_to(5):
             for k in range(7 // n + 1):
                 want = horizontal_strips_by_tiling(mu, n, k)
-                assert sorted(horizontal_strips(mu, n, k)) == want, (mu, n, k)
+                assert sorted(terms(horizontal_strips(mu, n, k))) == want, (mu, n, k)
                 cases += 1
     assert cases == 285
 
@@ -125,9 +127,9 @@ def test_removing_a_strip_transposes_adding_it():
         for k in range(7 // n + 1):
             for m in range(6):
                 added = {(mu, la, spin) for mu in partitions_of(m)
-                         for la, spin in horizontal_strips(mu, n, k)}
+                         for la, spin in terms(horizontal_strips(mu, n, k))}
                 removed = {(mu, la, spin) for la in partitions_of(m + n * k)
-                           for mu, spin in horizontal_strips(la, n, k, remove=True)}
+                           for mu, spin in terms(horizontal_strips(la, n, k, remove=True))}
                 assert added == removed, (n, k, m)
 
 
@@ -150,8 +152,9 @@ def test_a_strip_needs_a_nonnegative_count(remove):
 
 
 # one call per entry point that must reject n < 1 with partitions.require_ribbons:
-# the kernel (_slots, _single) through each kind of move, and each function
-# that divides by n
+# the kernel (_slots, _single) through each kind of move, each function
+# that divides by n, and the strips and h-products of no ribbons, which make
+# no move
 ENTRY_POINTS = {
     "ribbon_moves": lambda n: ribbon_moves((2, 1), n),
     "ribbon_moves remove": lambda n: ribbon_moves((2, 1), n, True),
@@ -161,6 +164,10 @@ ENTRY_POINTS = {
     "remove_ribbon": lambda n: remove_ribbon((2, 1), 0, n),
     "horizontal_strips": lambda n: horizontal_strips((2, 1), n, 1),
     "apply_h": lambda n: apply_h(1, n, FockVec.basis((1,))),
+    "apply_h of no ribbons": lambda n: apply_h(0, n, FockVec.basis((1,))),
+    "apply_h_perp of no ribbons": lambda n: apply_h_perp(0, n, FockVec.basis((1,))),
+    "h[0] e[0]": lambda n: apply_expr(parse_expr("h[0] e[0]"), n, FockVec.basis((1,))),
+    "s[]": lambda n: apply_expr(parse_expr("s[]"), n, FockVec.basis((1,))),
     "apply_B": lambda n: apply_B(2, n, FockVec.basis((2, 2))),
     "apply_diag": lambda n: apply_diag(0, 1, n, FockVec.basis(())),
     "core_and_quotient": lambda n: core_and_quotient((2, 1), n),

@@ -136,6 +136,10 @@ def test_strips_and_generators_read_the_move_table():
         named = _names([funcs[name]])
         assert "ribbon_moves" in named or "ribbon_strips" in named, name
         assert not named & {"add_ribbon", "remove_ribbon", "ribbon_slots"}, name
+    # _B_moves grows both runs of each hook word over the move table itself: a
+    # ribbon_strips call per partial word builds a heads tuple it throws away
+    named = _names([funcs["_B_moves"]])
+    assert "ribbon_moves" in named and "ribbon_strips" not in named
 
 
 def _applied_to(node):
